@@ -163,8 +163,15 @@ def _parse_graph_class(g, text: str):
         raise _UsageError(f"class is neither 'max' nor valid JSON: {exc}") from None
     if not isinstance(doc, dict) or not set(doc) <= {"pieces", "cycles"}:
         raise _UsageError("graph class JSON must be {\"pieces\": [...], \"cycles\": [...]}")
-    exprs = tuple(HomologyClassExpr.from_json(p) for p in doc.get("pieces", ()))
-    cycles = tuple(int(v) for v in doc.get("cycles", (0,) * rank))
+    pieces = doc.get("pieces", [])
+    cycles = doc.get("cycles", [0] * rank)
+    if not isinstance(pieces, list) or not isinstance(cycles, list):
+        raise _UsageError("graph class 'pieces' and 'cycles' must be lists")
+    exprs = tuple(HomologyClassExpr.from_json(p) for p in pieces)
+    try:
+        cycles = tuple(int(v) for v in cycles)
+    except TypeError:
+        raise _UsageError(f"cycle coordinates {cycles!r} are not all integers") from None
     if len(cycles) != rank:
         raise _UsageError(f"expected {rank} cycle coordinates, got {len(cycles)}")
     return exprs, cycles
@@ -205,34 +212,20 @@ def _cmd_bound(args) -> CommandOutcome:
 def _cmd_plan(args) -> CommandOutcome:
     if args.target == "seifert":
         m = _seifert_from_args(args)
-        if args.class_spec == "max":
-            c = maximal_class(m)
-            assert isinstance(c, HomologyClassExpr)
-        else:
-            c = _parse_class_text(args.class_spec)
+        c = maximal_class(m) if args.class_spec == "max" else _parse_class_text(args.class_spec)
         ledger = plan_seifert(m, c)
-        payload = ledger.to_json()
-        if class_is_maximal(m, c):
-            expected = bound_seifert(m.genus, m.euler, m.n)
-            if ledger.total != expected:
-                message = (f"construction needs {ledger.total} orbits but the "
-                           f"closed-form bound is {expected}")
-                return CommandOutcome(2, {"error": message, "total": ledger.total,
-                                          "bound": expected}, (message,))
-        _write_out(args.out, payload)
-        return CommandOutcome(0, payload)
-
-    g = parse_graph(_read(args.file))
-    exprs, cycles = _parse_graph_class(g, args.class_spec)
-    for k, v in enumerate(cycles):
-        if v != 0:
-            message = (f"cycle coordinate {k} is {v}; classes with a nonzero "
-                       "cycle component are not realizable by these fields")
-            return CommandOutcome(1, {"error": message}, (message,))
-    ledger = plan_graph(g, exprs)
+    else:
+        m = parse_graph(_read(args.file))
+        c, cycles = _parse_graph_class(m, args.class_spec)
+        for k, v in enumerate(cycles):
+            if v != 0:
+                message = (f"cycle coordinate {k} is {v}; classes with a nonzero "
+                           "cycle component are not realizable by these fields")
+                return CommandOutcome(1, {"error": message}, (message,))
+        ledger = plan_graph(m, c)
     payload = ledger.to_json()
-    if class_is_maximal(g, exprs):
-        expected = bound_graph(g)
+    if class_is_maximal(m, c):
+        expected = bound_seifert(m.genus, m.euler, m.n) if isinstance(m, SeifertClosed) else bound_graph(m)
         if ledger.total != expected:
             message = (f"construction needs {ledger.total} orbits but the "
                        f"closed-form bound is {expected}")

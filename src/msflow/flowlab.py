@@ -120,10 +120,6 @@ def round_handle_field(stability: str = "attracting") -> RoundHandleField:
     return RoundHandleField(stability)
 
 
-def torus_chart_field(lam: int, bump: Callable = default_bump) -> TorusChartField:
-    return TorusChartField(lam, bump)
-
-
 class _Reversed:
     """Time reversal of a chart field; same chart, negated values."""
 

@@ -29,6 +29,7 @@ from .manifolds import (
     HomologyClassExpr,
     SeifertClosed,
     SeifertPiece,
+    spanning_tree,
 )
 
 
@@ -53,10 +54,6 @@ class IntMatrix:
     @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
@@ -279,22 +276,14 @@ def group_from_presentation(relations: IntMatrix, names: tuple[str, ...]) -> H1G
 # ---------------------------------------------------------------------------
 # Seifert manifolds
 
-def _closed_names(m: SeifertClosed) -> tuple[str, ...]:
+def _generator_names(m: SeifertClosed | SeifertPiece) -> tuple[str, ...]:
     names = []
     for i in range(1, m.genus + 1):
         names += [f"a{i}", f"b{i}"]
     names.append("h")
     names += [f"mu{j}" for j in range(1, m.n + 1)]
-    return tuple(names)
-
-
-def _piece_names(p: SeifertPiece) -> tuple[str, ...]:
-    names = []
-    for i in range(1, p.genus + 1):
-        names += [f"a{i}", f"b{i}"]
-    names.append("h")
-    names += [f"mu{j}" for j in range(1, p.n + 1)]
-    names += [f"delta{c}" for c in range(1, p.boundary)]
+    if isinstance(m, SeifertPiece):
+        names += [f"delta{c}" for c in range(1, m.boundary)]
     return tuple(names)
 
 
@@ -312,7 +301,7 @@ def _fiber_rows(m: SeifertClosed | SeifertPiece, width: int) -> list[tuple[int, 
 @lru_cache(maxsize=None)
 def seifert_h1(m: SeifertClosed) -> H1Group:
     """H_1 of a closed Seifert manifold from the surgery presentation."""
-    names = _closed_names(m)
+    names = _generator_names(m)
     width = len(names)
     closing = [0] * width
     closing[2 * m.genus] = m.euler
@@ -325,7 +314,7 @@ def seifert_h1(m: SeifertClosed) -> H1Group:
 @lru_cache(maxsize=None)
 def piece_h1(p: SeifertPiece) -> H1Group:
     """H_1 of a bounded piece: fiber relations only, no closing row."""
-    names = _piece_names(p)
+    names = _generator_names(p)
     rows = _fiber_rows(p, len(names))
     return group_from_presentation(IntMatrix.from_rows(rows, len(names)), names)
 
@@ -340,8 +329,7 @@ def _core_pair(f) -> tuple[int, int]:
 
 def core_class_vector(m: SeifertClosed | SeifertPiece, j: int) -> tuple[int, ...]:
     """[gamma_j] in generator coordinates: h for j = 0, r_j*mu_j + s_j*h else."""
-    names = _closed_names(m) if isinstance(m, SeifertClosed) else _piece_names(m)
-    vec = [0] * len(names)
+    vec = [0] * len(_generator_names(m))
     h = 2 * m.genus
     if j == 0:
         vec[h] = 1
@@ -358,8 +346,7 @@ def expr_to_vector(m: SeifertClosed | SeifertPiece, c: HomologyClassExpr) -> tup
     beta_i is realized as the surface generator a_i; gamma classes expand via
     :func:`core_class_vector`; delta_c is its own generator (pieces only).
     """
-    names = _closed_names(m) if isinstance(m, SeifertClosed) else _piece_names(m)
-    vec = [0] * len(names)
+    vec = [0] * len(_generator_names(m))
     for i, coeff in enumerate(c.lam):
         vec[2 * i] += coeff
     for j, coeff in enumerate(c.alpha):
@@ -380,7 +367,7 @@ def section_vector(p: SeifertPiece, slot: int) -> tuple[int, ...]:
     Slots 1..k-1 carry the generators delta_1..delta_{k-1}; the slot-0 section
     balances them against the exceptional meridians.
     """
-    vec = [0] * len(_piece_names(p))
+    vec = [0] * len(_generator_names(p))
     mu_base = 2 * p.genus + 1
     delta_base = mu_base + p.n
     if slot == 0:
@@ -395,8 +382,7 @@ def section_vector(p: SeifertPiece, slot: int) -> tuple[int, ...]:
 
 def fiber_vector(m: SeifertClosed | SeifertPiece) -> tuple[int, ...]:
     """Class of a regular fiber: the generator h."""
-    names = _closed_names(m) if isinstance(m, SeifertClosed) else _piece_names(m)
-    vec = [0] * len(names)
+    vec = [0] * len(_generator_names(m))
     vec[2 * m.genus] = 1
     return tuple(vec)
 
@@ -417,29 +403,8 @@ class GraphPresentation:
     generator_names: tuple[str, ...]
     relations: IntMatrix
     piece_offsets: tuple[int, ...]
-    tree_edges: tuple[int, ...]
     nontree_edges: tuple[int, ...]
     cycle_projection: IntMatrix
-
-
-def _spanning_tree(g: GraphManifold) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    parent = list(range(g.l))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree, nontree = [], []
-    for idx, e in enumerate(g.edges):
-        ra, rb = find(e.piece_a), find(e.piece_b)
-        if ra != rb:
-            parent[ra] = rb
-            tree.append(idx)
-        else:
-            nontree.append(idx)
-    return tuple(tree), tuple(nontree)
 
 
 @lru_cache(maxsize=None)
@@ -448,8 +413,8 @@ def graph_presentation(g: GraphManifold) -> GraphPresentation:
     names: list[str] = []
     for i, pc in enumerate(g.pieces):
         offsets.append(len(names))
-        names += [f"p{i}.{name}" for name in _piece_names(pc)]
-    tree, nontree = _spanning_tree(g)
+        names += [f"p{i}.{name}" for name in _generator_names(pc)]
+    _tree, nontree = spanning_tree(g.l, g.edges)
     t_base = len(names)
     names += [f"t{idx}" for idx in nontree]
     width = len(names)
@@ -462,7 +427,7 @@ def graph_presentation(g: GraphManifold) -> GraphPresentation:
 
     rows: list[tuple[int, ...]] = []
     for i, pc in enumerate(g.pieces):
-        for local in _fiber_rows(pc, len(_piece_names(pc))):
+        for local in _fiber_rows(pc, len(_generator_names(pc))):
             rows.append(tuple(embedded(i, local)))
     # each gluing identifies (fiber, section) of side a with the matrix image
     # of (fiber, section) of side b; a non-tree edge additionally contributes
@@ -485,7 +450,6 @@ def graph_presentation(g: GraphManifold) -> GraphPresentation:
         generator_names=tuple(names),
         relations=IntMatrix.from_rows(rows, width),
         piece_offsets=tuple(offsets),
-        tree_edges=tree,
         nontree_edges=nontree,
         cycle_projection=IntMatrix.from_rows(projection_rows, width),
     )

@@ -50,6 +50,12 @@ def _require_int(value: object, what: str) -> int:
     return value
 
 
+def _require_list(value: object, what: str) -> "list | tuple":
+    if not isinstance(value, (list, tuple)):
+        raise MalformedSpec(f"{what} must be a list, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SurgeryCoefficient:
     """A surgery coefficient p/q with p outside {-1, 0, 1}, q nonzero, coprime."""
@@ -171,6 +177,28 @@ class Gluing:
                 [list(self.matrix[0]), list(self.matrix[1])]]
 
 
+def spanning_tree(pieces: int, edges: "tuple[Gluing, ...]") -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split edge indices into a spanning forest of the gluing multigraph
+    (edges taken in order) and the remaining, cycle-closing edges."""
+    parent = list(range(pieces))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree, nontree = [], []
+    for idx, e in enumerate(edges):
+        ra, rb = find(e.piece_a), find(e.piece_b)
+        if ra != rb:
+            parent[ra] = rb
+            tree.append(idx)
+        else:
+            nontree.append(idx)
+    return tuple(tree), tuple(nontree)
+
+
 @dataclass(frozen=True)
 class GraphManifold:
     """Seifert pieces glued along boundary tori.
@@ -212,17 +240,8 @@ class GraphManifold:
             pi, slot = min(missing)
             raise UnmatchedBoundary(f"boundary slot {slot} of piece {pi} is not glued")
 
-        parent = list(range(len(pieces)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in edges:
-            parent[find(e.piece_a)] = find(e.piece_b)
-        if len({find(i) for i in range(len(pieces))}) != 1:
+        tree, _nontree = spanning_tree(len(pieces), edges)
+        if len(tree) != len(pieces) - 1:
             raise DisconnectedGraph("the pieces-and-gluings multigraph is not connected")
 
     @property
@@ -299,16 +318,10 @@ class HomologyClassExpr:
         if unknown:
             raise MalformedSpec(f"unknown class keys {sorted(unknown)}")
         return HomologyClassExpr(
-            tuple(doc.get("lambda", ())),
-            tuple(doc.get("alpha", ())),
-            tuple(doc["tau"]) if "tau" in doc else None,
+            tuple(_require_list(doc.get("lambda", []), "class 'lambda'")),
+            tuple(_require_list(doc.get("alpha", []), "class 'alpha'")),
+            tuple(_require_list(doc["tau"], "class 'tau'")) if "tau" in doc else None,
         )
-
-    @staticmethod
-    def zero_for(m: "SeifertClosed | SeifertPiece") -> "HomologyClassExpr":
-        if isinstance(m, SeifertPiece):
-            return HomologyClassExpr((0,) * m.genus, (0,) * (m.n + 1), (0,) * (m.boundary - 1))
-        return HomologyClassExpr((0,) * m.genus, (0,) * (m.n + 1), None)
 
 
 def validate_class(
@@ -419,7 +432,7 @@ def graph_from_json(doc: object) -> GraphManifold:
     if "pieces" not in doc:
         raise MalformedSpec("graph document lacks a 'pieces' list")
     pieces = []
-    for raw in doc["pieces"]:
+    for raw in _require_list(doc["pieces"], "'pieces'"):
         if not isinstance(raw, dict):
             raise MalformedSpec(f"piece entry {raw!r} is not an object")
         bad = set(raw) - {"genus", "boundary", "fibers"}
@@ -430,9 +443,9 @@ def graph_from_json(doc: object) -> GraphManifold:
             boundary = raw["boundary"]
         except KeyError as exc:
             raise MalformedSpec(f"piece entry lacks key {exc}") from exc
-        pieces.append(SeifertPiece(genus, boundary, tuple(tuple(f) for f in raw.get("fibers", ()))))
+        pieces.append(SeifertPiece(genus, boundary, _require_list(raw.get("fibers", []), "piece 'fibers'")))
     edges = []
-    for raw in doc.get("edges", ()):
+    for raw in _require_list(doc.get("edges", []), "'edges'"):
         try:
             pi, bi, pj, bj, matrix = raw
         except (TypeError, ValueError) as exc:

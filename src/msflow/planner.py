@@ -2,7 +2,9 @@
 
 The closed-form bounds (:func:`bound_seifert`, :func:`bound_piece`,
 :func:`bound_graph`, :func:`bound_sum`) are plain arithmetic.  The rest of
-the module replays the construction behind them as an auditable pipeline:
+the module replays the construction behind them as an auditable pipeline
+whose steps 1-4 run once per block (a closed manifold or lone piece is one
+block, a graph manifold has one per piece) and steps 5-6 once:
 
 1. pick a Morse-Smale skeleton on the base surface (attracting/repelling
    singularities, saddles, and periodic orbits beta_i / delta_c);
@@ -15,6 +17,11 @@ the module replays the construction behind them as an auditable pipeline:
    requested class, which accumulates exactly that class into d^2;
 6. adjust the homotopy class of the plane field, adding six orbits.
 
+Orbits and tori are named by piece, role (gamma, aux, saddle, beta, delta,
+adjust), index and, for orbits derived from another, a suffix (saddle,
+cable, cable_saddle).  The label ``p<i>.<role><index>[.<suffix>]`` drops
+``p<i>.`` in the closed block and on the six adjustment orbits.
+
 Every step appends :class:`OrbitRecord` values to an immutable
 :class:`Ledger`; the step descriptors are plain JSON-safe dicts, and
 :func:`replay` rebuilds the identical orbit list from them alone.
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -50,7 +58,7 @@ SADDLE = "saddle"
 _PROVENANCES = frozenset(
     {"lift", "torus_destruction", "wada5_cable", "wada5_survivor", "reversal", "homotopy_adjust"})
 
-_PIECE_PREFIX = re.compile(r"^p(\d+)\.")
+_LIFT_LABEL = re.compile(r"^(?:p(0|[1-9]\d*)\.)?(gamma|aux|saddle|beta|delta|adjust)(0|[1-9]\d*)$")
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +132,33 @@ def _alternate(position: int) -> str:
     return ATTRACTING if position % 2 == 0 else REPELLING
 
 
+def _skeleton(y: "SeifertClosed | SeifertPiece") -> tuple[str, list[tuple[str, int]], list[tuple[str, int]]]:
+    # (case tag, periodic orbits, singularities), each named by (role, index)
+    if isinstance(y, SeifertPiece):
+        case_tag = "BoundedPiece"
+        fiber_slots = range(0, y.n + 1)
+        base_saddles = 2 * y.genus + y.n - 1
+        periodic = [("beta", i) for i in range(1, y.genus + 1)]
+        periodic += [("delta", c) for c in range(1, y.boundary)]
+    elif isinstance(y, SeifertClosed):
+        unit_euler = abs(y.euler) == 1
+        if y.genus == 0 and y.n == 0:
+            case_tag = "Case4" if unit_euler else "Case3"
+        else:
+            case_tag = "Case2" if unit_euler else "Case1"
+        fiber_slots = range(1, y.n + 1) if unit_euler else range(0, y.n + 1)
+        base_saddles = 2 * y.genus + y.n - (2 if unit_euler else 1)
+        periodic = [("beta", i) for i in range(1, y.genus + 1)]
+    else:
+        raise MalformedSpec(f"cannot build a skeleton for {type(y).__name__}")
+
+    pad = max(0, -base_saddles)
+    singular = [("gamma", j) for j in fiber_slots]
+    singular += [("aux", t) for t in range(1, pad + 1)]
+    singular += [("saddle", s) for s in range(1, base_saddles + pad + 1)]
+    return case_tag, periodic, singular
+
+
 def surface_skeleton(y: "SeifertClosed | SeifertPiece") -> SurfaceSkeleton:
     """Skeleton whose lift starts the construction on `y`.
 
@@ -134,33 +169,13 @@ def surface_skeleton(y: "SeifertClosed | SeifertPiece") -> SurfaceSkeleton:
     saddle count would go negative, attractor/repellor-saddle pairs are added
     until all counts are non-negative, which preserves the index sum.
     """
-    if isinstance(y, SeifertPiece):
-        case_tag = "BoundedPiece"
-        fiber_slots = range(0, y.n + 1)
-        base_saddles = 2 * y.genus + y.n - 1
-        orbit_labels = [f"beta{i}" for i in range(1, y.genus + 1)]
-        orbit_labels += [f"delta{c}" for c in range(1, y.boundary)]
-    elif isinstance(y, SeifertClosed):
-        unit_euler = abs(y.euler) == 1
-        if y.genus == 0 and y.n == 0:
-            case_tag = "Case4" if unit_euler else "Case3"
-        else:
-            case_tag = "Case2" if unit_euler else "Case1"
-        fiber_slots = range(1, y.n + 1) if unit_euler else range(0, y.n + 1)
-        base_saddles = 2 * y.genus + y.n - (2 if unit_euler else 1)
-        orbit_labels = [f"beta{i}" for i in range(1, y.genus + 1)]
-    else:
-        raise MalformedSpec(f"cannot build a skeleton for {type(y).__name__}")
-
-    pad = max(0, -base_saddles)
-    singularities = [(f"gamma{j}", 1) for j in fiber_slots]
-    singularities += [(f"aux{t}", 1) for t in range(1, pad + 1)]
-    singularities += [(f"saddle{s}", -1) for s in range(1, base_saddles + pad + 1)]
-    orbits = tuple((label, _alternate(i)) for i, label in enumerate(orbit_labels))
+    case_tag, periodic, singular = _skeleton(y)
     return SurfaceSkeleton(
         genus=y.genus,
-        periodic_orbits=orbits,
-        singularities=tuple(singularities),
+        periodic_orbits=tuple((_label(None, role, i), _alternate(k))
+                              for k, (role, i) in enumerate(periodic)),
+        singularities=tuple((_label(None, role, i), -1 if role == "saddle" else 1)
+                            for role, i in singular),
         case_tag=case_tag,
     )
 
@@ -173,19 +188,66 @@ def check_poincare_hopf(s: SurfaceSkeleton) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Labels
+
+def _label(piece: int | None, role: str, index: int, suffix: str | None = None) -> str:
+    """Render the label of an orbit or torus from its structured name."""
+    label = f"{role}{index}" if piece is None else f"p{piece}.{role}{index}"
+    return label if suffix is None else f"{label}.{suffix}"
+
+
+def _parse_lift_label(label: object) -> dict:
+    """Inverse of :func:`_label` on the labels of a serialized lift step,
+    which never carry a suffix."""
+    m = _LIFT_LABEL.match(label) if isinstance(label, str) else None
+    if m is None:
+        raise MalformedSpec(f"lift label {label!r} is not [p<piece>.]<role><index>")
+    piece = None if m.group(1) is None else int(m.group(1))
+    return {"piece": piece, "role": m.group(2), "index": int(m.group(3))}
+
+
+# ---------------------------------------------------------------------------
+# Classes per block: the one place where closed and graph plans differ.
+# Internally a dict maps the closed block (key None) or graph pieces 0..l-1
+# to classes; publicly the closed block is a bare class, pieces a tuple.
+
+def _blocks(value: "HomologyClassExpr | tuple[HomologyClassExpr, ...] | None") -> dict:
+    if isinstance(value, HomologyClassExpr):
+        return {None: value}
+    return dict(enumerate(value or ()))
+
+
+def _shaped(blocks: dict) -> "HomologyClassExpr | tuple[HomologyClassExpr, ...] | None":
+    return blocks.get(None) if None in blocks or not blocks else tuple(blocks.values())
+
+
+def _class_json(value: "HomologyClassExpr | tuple[HomologyClassExpr, ...] | None",
+                offsets: bool = False) -> dict | None:
+    if not isinstance(value, tuple):
+        return None if value is None else value.to_json()
+    doc: dict = {"pieces": [c.to_json() for c in value]}
+    if offsets:
+        doc["reference_offsets"] = [f"e_{i + 1}" for i in range(len(value))]
+    return doc
+
+
+# ---------------------------------------------------------------------------
 # Orbit records and the ledger
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    """One periodic orbit of the field under construction."""
+    """One periodic orbit of the field under construction, named by `piece`
+    (None outside graph pieces), `role`, `index` and `suffix`."""
 
     id: int
     kind: str
-    label: str
+    role: str
+    index: int
     orbit_class: HomologyClassExpr
     provenance: str
     cable: tuple[int, int] | None = None
     piece: int | None = None
+    suffix: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in (ATTRACTING, REPELLING, SADDLE):
@@ -198,6 +260,10 @@ class OrbitRecord:
             p, q = self.cable
             if math.gcd(abs(p), abs(q)) != 1:
                 raise ValueError(f"cable pair {self.cable} is not coprime")
+
+    @property
+    def label(self) -> str:
+        return _label(self.piece, self.role, self.index, self.suffix)
 
     def to_json(self) -> dict:
         cls = self.orbit_class.to_json()
@@ -217,12 +283,17 @@ class OrbitRecord:
 
 @dataclass(frozen=True)
 class InvariantTorus:
-    """Marker for an invariant torus awaiting destruction."""
+    """Marker for an invariant torus awaiting destruction, named like an orbit."""
 
-    label: str
+    role: str
+    index: int
     base_kind: str
     unit_class: HomologyClassExpr
     piece: int | None = None
+
+    @property
+    def label(self) -> str:
+        return _label(self.piece, self.role, self.index)
 
 
 @dataclass(frozen=True)
@@ -231,8 +302,11 @@ class Ledger:
 
     `steps` holds JSON-safe step descriptors sufficient to rebuild `orbits`
     (see :func:`replay`); `d2_accumulated` is the class realized so far by
-    flow reversal, one expression per piece for graph manifolds.  Step
-    functions never mutate; they return a new ledger.
+    flow reversal: one expression for a closed manifold or lone piece, a
+    tuple with one expression per piece for a graph manifold.  Orbit labels
+    read ``p<i>.<role><index>[.<suffix>]``, without ``p<i>.`` in the closed
+    block and on the adjustment orbits.  Step functions never mutate; they
+    return a new ledger.
     """
 
     manifold: "SeifertClosed | SeifertPiece | GraphManifold | None" = None
@@ -248,116 +322,128 @@ class Ledger:
         return len(self.orbits)
 
     def to_json(self) -> dict:
-        if isinstance(self.target_class, tuple):
-            target = {"pieces": [c.to_json() for c in self.target_class]}
-        else:
-            target = None if self.target_class is None else self.target_class.to_json()
-        if isinstance(self.d2_accumulated, tuple):
-            d2 = {
-                "pieces": [c.to_json() for c in self.d2_accumulated],
-                "reference_offsets": [f"e_{i + 1}" for i in range(len(self.d2_accumulated))],
-            }
-        else:
-            d2 = None if self.d2_accumulated is None else self.d2_accumulated.to_json()
         return {
             "manifold": None if self.manifold is None else self.manifold.to_json(),
-            "target_class": target,
+            "target_class": _class_json(self.target_class),
             "steps": [dict(s) for s in self.steps],
             "orbits": [o.to_json() for o in self.orbits],
-            "d2": d2,
+            "d2": _class_json(self.d2_accumulated, offsets=True),
             "total": self.total,
         }
 
 
-def _label_piece(label: str) -> int | None:
-    m = _PIECE_PREFIX.match(label)
-    return int(m.group(1)) if m else None
-
-
-def _unit_class(m: "SeifertClosed | SeifertPiece", block: str, index: int) -> HomologyClassExpr:
-    lam = [0] * m.genus
-    alpha = [0] * (m.n + 1)
-    tau = [0] * (m.boundary - 1) if isinstance(m, SeifertPiece) else None
-    if block == "lam":
-        lam[index] = 1
-    elif block == "alpha":
-        alpha[index] = 1
-    else:
-        assert tau is not None
-        tau[index] = 1
-    return HomologyClassExpr(tuple(lam), tuple(alpha), None if tau is None else tuple(tau))
-
-
-def _lift_step_doc(m: "SeifertClosed | SeifertPiece", skeleton: SurfaceSkeleton, prefix: str) -> dict:
-    fibers = []
-    saddles = []
-    position = 0
-    for label, index in skeleton.singularities:
-        if index == 1:
-            slot = int(label[5:]) if label.startswith("gamma") else 0
-            cls = _unit_class(m, "alpha", slot)
-            fibers.append([prefix + label, _alternate(position), cls.to_json()])
-            position += 1
-        else:
-            saddles.append([prefix + label, _unit_class(m, "alpha", 0).to_json()])
-    tori = []
-    for label, stability in skeleton.periodic_orbits:
-        if label.startswith("beta"):
-            unit = _unit_class(m, "lam", int(label[4:]) - 1)
-        else:
-            unit = _unit_class(m, "tau", int(label[5:]) - 1)
-        tori.append([prefix + label, stability, unit.to_json()])
-    return {"op": "lift", "fibers": fibers, "saddles": saddles, "tori": tori}
-
-
-def _apply_lift_step(ledger: Ledger, step: dict) -> Ledger:
-    records = list(ledger.orbits)
-    for label, kind, cls in step["fibers"]:
-        records.append(OrbitRecord(len(records), kind, label,
-                                   HomologyClassExpr.from_json(cls), "lift",
-                                   piece=_label_piece(label)))
-    for label, cls in step["saddles"]:
-        records.append(OrbitRecord(len(records), SADDLE, label,
-                                   HomologyClassExpr.from_json(cls), "lift",
-                                   piece=_label_piece(label)))
-    markers = list(ledger.tori)
-    for label, base_kind, unit in step["tori"]:
-        markers.append(InvariantTorus(label, base_kind,
-                                      HomologyClassExpr.from_json(unit),
-                                      piece=_label_piece(label)))
-
-    sample = None
-    for entry in step["fibers"]:
-        sample = entry[2]
-        break
-    if sample is None:
-        for entry in step["saddles"]:
-            sample = entry[1]
-            break
-    if sample is None:
-        for entry in step["tori"]:
-            sample = entry[2]
-            break
-    if sample is None:
-        raise MalformedSpec("lift step carries no orbits, saddles, or tori")
-    zero = HomologyClassExpr.from_json(sample).scale(0)
-    labels = [e[0] for e in step["fibers"]] + [e[0] for e in step["saddles"]] \
-        + [e[0] for e in step["tori"]]
-    step_piece = _label_piece(labels[0])
-    if step_piece is None:
-        d2: "HomologyClassExpr | tuple[HomologyClassExpr, ...]" = zero \
-            if ledger.d2_accumulated is None else ledger.d2_accumulated
-    else:
-        current = ledger.d2_accumulated if isinstance(ledger.d2_accumulated, tuple) else ()
-        if len(current) != step_piece:
-            raise MalformedSpec(f"lift for piece {step_piece} arrived out of order")
-        d2 = current + (zero,)
-    return replace(ledger, steps=ledger.steps + (step,), orbits=tuple(records),
-                   tori=tuple(markers), d2_accumulated=d2)
-
-
 # ---------------------------------------------------------------------------
 # Construction steps
+
+class _Draft:
+    """A ledger being extended in place, with orbits and tori indexed by
+    label; each method applies one step, for the step functions, the plans
+    and :func:`replay` alike."""
+
+    def __init__(self, ledger: Ledger) -> None:
+        self.ledger = ledger
+        self.steps = list(ledger.steps)
+        self.orbits: list[OrbitRecord] = []
+        self.position: dict[str, int] = {}
+        for orb in ledger.orbits:
+            self._append(orb)
+        self.tori = {t.label: t for t in ledger.tori}
+        self.d2 = _blocks(ledger.d2_accumulated)
+        self.adjusted = ledger.adjusted
+
+    def freeze(self) -> Ledger:
+        return replace(self.ledger, steps=tuple(self.steps), orbits=tuple(self.orbits),
+                       d2_accumulated=_shaped(self.d2), tori=tuple(self.tori.values()),
+                       adjusted=self.adjusted)
+
+    def _append(self, orbit: OrbitRecord) -> None:
+        self.position.setdefault(orbit.label, len(self.orbits))
+        self.orbits.append(orbit)
+
+    def lift(self, step: dict) -> None:
+        orbits = [(label, kind, cls) for label, kind, cls in step["fibers"]]
+        orbits += [(label, SADDLE, cls) for label, cls in step["saddles"]]
+        tori = step["tori"]
+        if not orbits and not tori:
+            raise MalformedSpec("lift step carries no orbits, saddles, or tori")
+        label, _kind, sample = (orbits or tori)[0]
+        piece = _parse_lift_label(label)["piece"]
+        if piece not in (None, len(self.d2)):
+            raise MalformedSpec(f"lift for piece {piece} arrived out of order")
+        self.d2.setdefault(piece, HomologyClassExpr.from_json(sample).scale(0))
+        for label, kind, cls in orbits:
+            self._append(OrbitRecord(len(self.orbits), kind, orbit_class=HomologyClassExpr.from_json(cls),
+                                     provenance="lift", **_parse_lift_label(label)))
+        for label, kind, unit in tori:
+            marker = InvariantTorus(base_kind=kind, unit_class=HomologyClassExpr.from_json(unit),
+                                    **_parse_lift_label(label))
+            self.tori.setdefault(label, marker)
+        self.steps.append(step)
+
+    def destroy(self, label: str, lam: int) -> None:
+        if not isinstance(lam, int) or isinstance(lam, bool) or lam == 0:
+            raise ValueError("torus destruction needs a nonzero integer coefficient")
+        marker = self.tori.pop(label, None)
+        if marker is None:
+            raise UnknownTorus(f"no invariant torus labeled {label!r}")
+        cls = marker.unit_class.scale(lam)
+        orbit = OrbitRecord(len(self.orbits), marker.base_kind, marker.role, marker.index, cls,
+                            "torus_destruction", piece=marker.piece)
+        self._append(orbit)
+        self._append(replace(orbit, id=len(self.orbits), kind=SADDLE, suffix="saddle"))
+        self.steps.append({"op": "destroy_torus", "torus": label, "lambda": lam})
+
+    def wada5(self, label: str, q: int) -> None:
+        if not isinstance(q, int) or isinstance(q, bool):
+            raise ValueError("cable coefficient must be an integer")
+        if q == 0:
+            raise ZeroCoefficient("Wada's operation needs a nonzero cable coefficient")
+        index = self.position.get(label)
+        if index is None:
+            raise NotFiberOrbit(f"no orbit labeled {label!r}")
+        orb = self.orbits[index]
+        if orb.provenance != "lift" or orb.kind == SADDLE or orb.role != "gamma":
+            raise NotFiberOrbit(f"orbit {label!r} is not an attracting or repelling fiber lift")
+        self.orbits[index] = replace(orb, provenance="wada5_survivor")
+        cable = replace(orb, id=len(self.orbits), orbit_class=orb.orbit_class.scale(q),
+                        provenance="wada5_cable", cable=(1, q), suffix="cable")
+        self._append(cable)
+        self._append(replace(cable, id=len(self.orbits), kind=SADDLE, suffix="cable_saddle"))
+        self.steps.append({"op": "wada5", "orbit": label, "q": q, "p": 1})
+
+    def reverse(self, link: Iterable[int]) -> None:
+        ids = sorted(set(int(i) for i in link))
+        by_id = {o.id: i for i, o in enumerate(self.orbits)}
+        for oid in ids:
+            if oid not in by_id:
+                raise ValueError(f"no orbit with id {oid}")
+            orb = self.orbits[by_id[oid]]
+            if orb.kind == SADDLE:
+                raise SaddleInLink(f"orbit {orb.label!r} is a saddle and cannot be reversed")
+            if orb.piece not in self.d2:
+                raise ValueError(f"orbit {orb.label!r} belongs to no piece of the graph manifold")
+            self.d2[orb.piece] = self.d2[orb.piece] + orb.orbit_class
+            self.orbits[by_id[oid]] = replace(orb, provenance="reversal")
+        self.steps.append({"op": "reverse_link", "link": ids})
+
+    def adjust(self) -> None:
+        if self.adjusted:
+            raise AlreadyAdjusted("the homotopy adjustment was already applied")
+        # the six orbits belong to no piece: in a closed plan that is the
+        # closed block, in a graph plan no block at all (the empty class)
+        zero = self.d2.get(None, HomologyClassExpr()).scale(0)
+        kinds = (ATTRACTING, REPELLING, ATTRACTING, REPELLING, SADDLE, SADDLE)
+        for i, kind in enumerate(kinds):
+            self._append(OrbitRecord(len(self.orbits), kind, "adjust", i + 1, zero, "homotopy_adjust"))
+        self.adjusted = True
+        self.steps.append({"op": "homotopy_adjust"})
+
+
+def _step(ledger: Ledger, apply, *args) -> Ledger:
+    draft = _Draft(ledger)
+    apply(draft, *args)
+    return draft.freeze()
+
 
 def destroy_torus_step(ledger: Ledger, label: str, lam: int) -> Ledger:
     """Destroy the invariant torus over `label` into a (lambda, 1)-curve pair.
@@ -365,21 +451,7 @@ def destroy_torus_step(ledger: Ledger, label: str, lam: int) -> Ledger:
     Appends two orbits of class lambda*[label]: one keeps the base orbit's
     stability, the companion is a saddle.
     """
-    if not isinstance(lam, int) or isinstance(lam, bool) or lam == 0:
-        raise ValueError("torus destruction needs a nonzero integer coefficient")
-    marker = next((t for t in ledger.tori if t.label == label), None)
-    if marker is None:
-        raise UnknownTorus(f"no invariant torus labeled {label!r}")
-    cls = marker.unit_class.scale(lam)
-    base = len(ledger.orbits)
-    added = (
-        OrbitRecord(base, marker.base_kind, label, cls, "torus_destruction", piece=marker.piece),
-        OrbitRecord(base + 1, SADDLE, f"{label}.saddle", cls, "torus_destruction", piece=marker.piece),
-    )
-    step = {"op": "destroy_torus", "torus": label, "lambda": lam}
-    return replace(ledger, steps=ledger.steps + (step,),
-                   orbits=ledger.orbits + added,
-                   tori=tuple(t for t in ledger.tori if t.label != label))
+    return _step(ledger, _Draft.destroy, label, lam)
 
 
 def wada5_step(ledger: Ledger, orbit_label: str, q: int) -> Ledger:
@@ -388,28 +460,7 @@ def wada5_step(ledger: Ledger, orbit_label: str, q: int) -> Ledger:
     The original orbit survives (relabeled as the survivor) and two parallel
     cables appear; the replacement cable carries the class q*[orbit].
     """
-    if not isinstance(q, int) or isinstance(q, bool):
-        raise ValueError("cable coefficient must be an integer")
-    if q == 0:
-        raise ZeroCoefficient("Wada's operation needs a nonzero cable coefficient")
-    index = next((i for i, o in enumerate(ledger.orbits) if o.label == orbit_label), None)
-    if index is None:
-        raise NotFiberOrbit(f"no orbit labeled {orbit_label!r}")
-    orb = ledger.orbits[index]
-    bare = orbit_label.split(".", 1)[1] if _label_piece(orbit_label) is not None else orbit_label
-    if orb.provenance != "lift" or orb.kind == SADDLE or not bare.startswith("gamma"):
-        raise NotFiberOrbit(f"orbit {orbit_label!r} is not an attracting or repelling fiber lift")
-    survivor = replace(orb, provenance="wada5_survivor")
-    records = list(ledger.orbits)
-    records[index] = survivor
-    base = len(records)
-    cls = orb.orbit_class.scale(q)
-    records.append(OrbitRecord(base, orb.kind, f"{orbit_label}.cable", cls,
-                               "wada5_cable", cable=(1, q), piece=orb.piece))
-    records.append(OrbitRecord(base + 1, SADDLE, f"{orbit_label}.cable_saddle", cls,
-                               "wada5_cable", cable=(1, q), piece=orb.piece))
-    step = {"op": "wada5", "orbit": orbit_label, "q": q, "p": 1}
-    return replace(ledger, steps=ledger.steps + (step,), orbits=tuple(records))
+    return _step(ledger, _Draft.wada5, orbit_label, q)
 
 
 def reverse_link_step(ledger: Ledger, link: "set[int] | list[int] | tuple[int, ...]") -> Ledger:
@@ -418,26 +469,7 @@ def reverse_link_step(ledger: Ledger, link: "set[int] | list[int] | tuple[int, .
     Adds their classes to d2_accumulated and marks them with provenance
     ``reversal``; the orbit count is unchanged.  Saddles cannot be reversed.
     """
-    ids = sorted(set(int(i) for i in link))
-    by_id = {o.id: i for i, o in enumerate(ledger.orbits)}
-    records = list(ledger.orbits)
-    d2 = ledger.d2_accumulated
-    for oid in ids:
-        if oid not in by_id:
-            raise ValueError(f"no orbit with id {oid}")
-        orb = records[by_id[oid]]
-        if orb.kind == SADDLE:
-            raise SaddleInLink(f"orbit {orb.label!r} is a saddle and cannot be reversed")
-        if isinstance(d2, tuple):
-            if orb.piece is None:
-                raise ValueError(f"orbit {orb.label!r} belongs to no piece of the graph manifold")
-            d2 = d2[:orb.piece] + (d2[orb.piece] + orb.orbit_class,) + d2[orb.piece + 1:]
-        else:
-            d2 = orb.orbit_class if d2 is None else d2 + orb.orbit_class
-        records[by_id[oid]] = replace(orb, provenance="reversal")
-    step = {"op": "reverse_link", "link": ids}
-    return replace(ledger, steps=ledger.steps + (step,),
-                   orbits=tuple(records), d2_accumulated=d2)
+    return _step(ledger, _Draft.reverse, link)
 
 
 def homotopy_adjust_step(ledger: Ledger) -> Ledger:
@@ -446,61 +478,82 @@ def homotopy_adjust_step(ledger: Ledger) -> Ledger:
     Adds six orbits in three canceling pairs, so d2_accumulated is unchanged;
     the pairs are recorded with the trivial class.  Applicable once.
     """
-    if ledger.adjusted:
-        raise AlreadyAdjusted("the homotopy adjustment was already applied")
-    if isinstance(ledger.d2_accumulated, HomologyClassExpr):
-        zero = ledger.d2_accumulated.scale(0)
-    else:
-        zero = HomologyClassExpr((), (), None)
-    base = len(ledger.orbits)
-    kinds = (ATTRACTING, REPELLING, ATTRACTING, REPELLING, SADDLE, SADDLE)
-    added = tuple(
-        OrbitRecord(base + i, kind, f"adjust{i + 1}", zero, "homotopy_adjust")
-        for i, kind in enumerate(kinds))
-    step = {"op": "homotopy_adjust"}
-    return replace(ledger, steps=ledger.steps + (step,),
-                   orbits=ledger.orbits + added, adjusted=True)
+    return _step(ledger, _Draft.adjust)
 
 
 # ---------------------------------------------------------------------------
-# Full pipelines
+# The pipeline
 
-def _orbit_coeff(c: HomologyClassExpr, bare_label: str) -> int:
-    if bare_label.startswith("beta"):
-        return c.lam[int(bare_label[4:]) - 1]
-    return (c.tau or ())[int(bare_label[5:]) - 1]
-
-
-def _destroy_and_wada(ledger: Ledger, skeleton: SurfaceSkeleton,
-                      c: HomologyClassExpr, prefix: str) -> Ledger:
-    for label, _stability in skeleton.periodic_orbits:
-        coeff = _orbit_coeff(c, label)
-        ledger = destroy_torus_step(ledger, prefix + label, coeff if coeff != 0 else 1)
-    for label, index in skeleton.singularities:
-        if index == 1 and label.startswith("gamma"):
-            a = c.alpha[int(label[5:])]
-            if a not in (0, 1):
-                ledger = wada5_step(ledger, prefix + label, a)
-    return ledger
+def _unit_class(m: "SeifertClosed | SeifertPiece", role: str, index: int) -> HomologyClassExpr:
+    lam = [0] * m.genus
+    alpha = [0] * (m.n + 1)
+    tau = [0] * (m.boundary - 1) if isinstance(m, SeifertPiece) else None
+    if role == "beta":
+        lam[index - 1] = 1
+    elif role == "delta":
+        assert tau is not None
+        tau[index - 1] = 1
+    else:
+        alpha[index] = 1
+    return HomologyClassExpr(tuple(lam), tuple(alpha), None if tau is None else tuple(tau))
 
 
-def _link_ids(ledger: Ledger, c: HomologyClassExpr, piece: int | None) -> list[int]:
+def _coefficient(c: HomologyClassExpr, role: str, index: int) -> int:
+    # the coefficient of c on the basis element that (role, index) names
+    if role == "beta":
+        return c.lam[index - 1]
+    if role == "delta":
+        return (c.tau or ())[index - 1]
+    return c.alpha[index]
+
+
+def _lift_step_doc(m: "SeifertClosed | SeifertPiece", piece: int | None) -> dict:
+    _case, periodic, singular = _skeleton(m)
+    fibers = []
+    saddles = []
+    for role, i in singular:
+        # aux singularities and saddles lift to regular fibers (slot 0)
+        cls = _unit_class(m, "gamma", i if role == "gamma" else 0).to_json()
+        if role == "saddle":
+            saddles.append([_label(piece, role, i), cls])
+        else:
+            fibers.append([_label(piece, role, i), _alternate(len(fibers)), cls])
+    tori = [[_label(piece, role, i), _alternate(k), _unit_class(m, role, i).to_json()]
+            for k, (role, i) in enumerate(periodic)]
+    return {"op": "lift", "fibers": fibers, "saddles": saddles, "tori": tori}
+
+
+def _in_link(orb: OrbitRecord, c: HomologyClassExpr) -> bool:
     # the link realizing c: destroyed-torus orbits with nonzero target
     # coefficient, replacement cables, and plain fiber lifts at coefficient 1
-    ids = []
-    for orb in ledger.orbits:
-        if orb.piece != piece or orb.kind == SADDLE:
-            continue
-        bare = orb.label.split(".", 1)[1] if piece is not None else orb.label
-        if orb.provenance == "torus_destruction" and "." not in bare:
-            if _orbit_coeff(c, bare) != 0:
-                ids.append(orb.id)
-        elif orb.provenance == "wada5_cable":
-            ids.append(orb.id)
-        elif orb.provenance == "lift" and bare.startswith("gamma"):
-            if c.alpha[int(bare[5:])] == 1:
-                ids.append(orb.id)
-    return ids
+    if orb.kind == SADDLE:
+        return False
+    if orb.provenance == "torus_destruction":
+        return _coefficient(c, orb.role, orb.index) != 0
+    if orb.provenance == "wada5_cable":
+        return True
+    return orb.provenance == "lift" and orb.role == "gamma" and c.alpha[orb.index] == 1
+
+
+def _plan(manifold: "SeifertClosed | SeifertPiece | GraphManifold",
+          blocks: "list[tuple[int | None, SeifertClosed | SeifertPiece, HomologyClassExpr]]") -> Ledger:
+    # blocks are (piece, manifold, class) triples, piece None for a closed block
+    classes = {piece: c for piece, _m, c in blocks}
+    draft = _Draft(Ledger(manifold=manifold, target_class=_shaped(classes)))
+    for piece, m, c in blocks:
+        start = len(draft.orbits)
+        draft.lift(_lift_step_doc(m, piece))
+        lifted = draft.orbits[start:]
+        for torus in list(draft.tori.values()):
+            draft.destroy(torus.label, _coefficient(c, torus.role, torus.index) or 1)
+        for orb in lifted:
+            if orb.role == "gamma" and c.alpha[orb.index] not in (0, 1):
+                draft.wada5(orb.label, c.alpha[orb.index])
+    draft.reverse(o.id for o in draft.orbits if _in_link(o, classes[o.piece]))
+    draft.adjust()
+    if draft.d2 != classes:
+        raise ArithmeticError("link bookkeeping failed to reproduce the target class")
+    return draft.freeze()
 
 
 def plan_seifert(y: "SeifertClosed | SeifertPiece", c: HomologyClassExpr) -> Ledger:
@@ -513,44 +566,19 @@ def plan_seifert(y: "SeifertClosed | SeifertPiece", c: HomologyClassExpr) -> Led
     """
     if not isinstance(y, (SeifertClosed, SeifertPiece)):
         raise MalformedSpec(f"cannot plan on {type(y).__name__}")
-    validated = validate_class(y, c)
-    assert isinstance(validated, HomologyClassExpr)
-    skeleton = surface_skeleton(y)
-    ledger = Ledger(manifold=y, target_class=validated)
-    ledger = _apply_lift_step(ledger, _lift_step_doc(y, skeleton, ""))
-    ledger = _destroy_and_wada(ledger, skeleton, validated, "")
-    ledger = reverse_link_step(ledger, _link_ids(ledger, validated, None))
-    ledger = homotopy_adjust_step(ledger)
-    if ledger.d2_accumulated != validated:
-        raise ArithmeticError("link bookkeeping failed to reproduce the target class")
-    return ledger
+    return _plan(y, [(None, y, validate_class(y, c))])
 
 
 def plan_graph(g: GraphManifold,
                per_piece: "list[HomologyClassExpr] | tuple[HomologyClassExpr, ...]") -> Ledger:
-    """Run per-piece pipelines and glue: one reversal and one adjustment.
+    """Run the per-piece pipelines, then one reversal and one adjustment.
 
-    Orbit labels are prefixed ``p<i>.`` with the piece index; the accumulated
-    class is tracked per piece, relative to the symbolic reference offsets
-    e_1..e_l of the fiberwise fields.
+    The accumulated class is tracked per piece, relative to the symbolic
+    reference offsets e_1..e_l of the fiberwise fields.
     """
     if g.l == 1:
         raise SinglePiece("a one-piece graph manifold is planned as a Seifert piece")
-    classes = validate_class(g, tuple(per_piece))
-    assert isinstance(classes, tuple)
-    ledger = Ledger(manifold=g, target_class=classes)
-    skeletons = [surface_skeleton(pc) for pc in g.pieces]
-    for idx, (skeleton, ci) in enumerate(zip(skeletons, classes)):
-        ledger = _apply_lift_step(ledger, _lift_step_doc(g.pieces[idx], skeleton, f"p{idx}."))
-        ledger = _destroy_and_wada(ledger, skeleton, ci, f"p{idx}.")
-    link: list[int] = []
-    for idx, ci in enumerate(classes):
-        link += _link_ids(ledger, ci, idx)
-    ledger = reverse_link_step(ledger, link)
-    ledger = homotopy_adjust_step(ledger)
-    if ledger.d2_accumulated != classes:
-        raise ArithmeticError("link bookkeeping failed to reproduce the target classes")
-    return ledger
+    return _plan(g, list(zip(range(g.l), g.pieces, validate_class(g, tuple(per_piece)))))
 
 
 def replay(steps, manifold=None, target_class=None) -> Ledger:
@@ -559,19 +587,19 @@ def replay(steps, manifold=None, target_class=None) -> Ledger:
     The orbit list, totals, and d2 accumulation depend only on the steps, so
     replaying a ledger's steps reproduces its orbits exactly.
     """
-    ledger = Ledger(manifold=manifold, target_class=target_class)
+    draft = _Draft(Ledger(manifold=manifold, target_class=target_class))
     for step in steps:
         op = step.get("op") if isinstance(step, dict) else None
         if op == "lift":
-            ledger = _apply_lift_step(ledger, step)
+            draft.lift(step)
         elif op == "destroy_torus":
-            ledger = destroy_torus_step(ledger, step["torus"], step["lambda"])
+            draft.destroy(step["torus"], step["lambda"])
         elif op == "wada5":
-            ledger = wada5_step(ledger, step["orbit"], step["q"])
+            draft.wada5(step["orbit"], step["q"])
         elif op == "reverse_link":
-            ledger = reverse_link_step(ledger, step["link"])
+            draft.reverse(step["link"])
         elif op == "homotopy_adjust":
-            ledger = homotopy_adjust_step(ledger)
+            draft.adjust()
         else:
             raise ValueError(f"unknown step {step!r}")
-    return ledger
+    return draft.freeze()

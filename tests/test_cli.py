@@ -222,3 +222,34 @@ class TestHarness:
         for entry in out.payload["criteria"]:
             assert set(entry) == {"id", "name", "passed", "detail"}
         assert len(out.diagnostics) == 10
+
+
+PIECE = {"genus": 0, "boundary": 1, "fibers": []}
+GLUE = [0, 0, 1, 0, [[0, 1], [1, 0]]]
+CLASS = {"lambda": [], "alpha": [2], "tau": []}
+
+
+@pytest.mark.parametrize("graph,class_doc", [
+    ({"pieces": 5}, None),
+    ({"pieces": [PIECE, PIECE], "edges": 7}, None),
+    ({"pieces": [dict(PIECE, fibers=3), PIECE], "edges": [GLUE]}, None),
+    ({"pieces": [dict(PIECE, fibers=[5]), PIECE], "edges": [GLUE]}, None),
+    (None, {"pieces": 5}),
+    (None, {"cycles": 5}),
+    (None, {"pieces": [CLASS, CLASS], "cycles": [None]}),
+    (None, {"pieces": [dict(CLASS, **{"lambda": 5}), CLASS]}),
+    (None, {"pieces": [dict(CLASS, alpha=5), CLASS]}),
+    (None, {"pieces": [dict(CLASS, tau=5), CLASS]}),
+], ids=["pieces", "edges", "fibers", "fiber-entry", "class-pieces", "cycles",
+        "cycle-entry", "lambda", "alpha", "tau"])
+def test_non_list_json_is_an_input_error(tmp_path, capsys, graph, class_doc):
+    """Scalars where the schema wants a list exit 1 with an error document."""
+    if class_doc is None:
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+        argv = ["bound", "graph", str(path)]
+    else:
+        argv = ["homology", "graph", str(write_graph(tmp_path)), "--class", json.dumps(class_doc)]
+    code = cli.main(argv)
+    assert code == 1
+    assert set(json.loads(capsys.readouterr().out)) == {"error"}

@@ -1,0 +1,87 @@
+"""Golden ladder: sha256 of ``msflow`` stdout for a few plan and homology runs.
+
+The digests were recorded before the planner was restructured around one
+pipeline; any change to a ledger's bytes (labels, orbit order, class JSON,
+key order) shows up here as a digest mismatch.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from msflow import cli
+
+SWAP = [[0, 1], [1, 0]]
+
+TWO_PIECES = {
+    "pieces": [{"genus": 0, "boundary": 1, "fibers": []},
+               {"genus": 0, "boundary": 1, "fibers": []}],
+    "edges": [[0, 0, 1, 0, SWAP]],
+}
+
+CHAIN3 = {
+    "pieces": [{"genus": 1, "boundary": 1, "fibers": [[2, 1]]},
+               {"genus": 0, "boundary": 2, "fibers": [[3, 2]]},
+               {"genus": 0, "boundary": 1, "fibers": []}],
+    "edges": [[0, 0, 1, 0, SWAP], [1, 1, 2, 0, [[1, 1], [0, 1]]]],
+}
+
+CHAIN3_CLASS = json.dumps({"pieces": [
+    {"lambda": [3], "alpha": [2, -4], "tau": []},
+    {"lambda": [], "alpha": [1, 5], "tau": [-3]},
+    {"lambda": [], "alpha": [0], "tau": []},
+]})
+
+SEIFERT_WADA = ["plan", "seifert", "--genus", "2", "--euler", "-3", "--fibers", "3/2;5/1",
+                "--class", "lambda=3,-2;alpha=2,4,-5"]
+
+# (argv with {two}/{chain} standing for fixture paths, exit code, sha256 of stdout)
+LADDER = [
+    (["plan", "seifert", "--genus", "1", "--euler", "2"], 0,
+     "45c48a66db64c3ea762e5cb9fadcada4030edc4810a85c47b2a23e9a1eff3e4f"),
+    (["plan", "seifert", "--genus", "0", "--euler", "1", "--fibers", "2/1"], 2,
+     "f8da4a08801aacec4dd20585891a0e8b8b7225ed4051c1e7aebf7a68bd94f735"),
+    (SEIFERT_WADA, 0,
+     "d0dc9a6fc228d7b97d5fe2fdd624996c5831033d10d6d1ffedb4e2d79405185a"),
+    (["plan", "graph", "{two}"], 0,
+     "762318175aca5123ce6a86e3368489bc04e679294eef2fa931de5122bcd806b9"),
+    (["homology", "graph", "{two}", "--class", "max"], 0,
+     "d3d8480b7863d7db17ac6f811f4dcb33c9a3a0cdfc8d0123d53333630cf978e3"),
+    (["plan", "graph", "{chain}", "--class", CHAIN3_CLASS], 0,
+     "63175d70a0868fe615a988d9dc5c8eda81586a39efa6e166dc17e10ce5847593"),
+    (["homology", "graph", "{chain}", "--class", CHAIN3_CLASS], 0,
+     "9d20572eec3ff334417c124d2be62db309d426036cbd1a98391ad0fbf6295e8e"),
+]
+
+
+@pytest.fixture
+def paths(tmp_path):
+    out = {}
+    for name, doc in (("two", TWO_PIECES), ("chain", CHAIN3)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        out["{" + name + "}"] = str(path)
+    return out
+
+
+def _stdout(capsys, argv):
+    code = cli.main(argv)
+    return code, capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("argv,code,digest", LADDER,
+                         ids=[f"{a[0]}-{a[1]}-{i}" for i, (a, _, _) in enumerate(LADDER)])
+def test_stdout_digest(capsys, paths, argv, code, digest):
+    argv = [paths.get(a, a) for a in argv]
+    got_code, out = _stdout(capsys, argv)
+    assert got_code == code
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_out_file_equals_stdout(capsys, tmp_path):
+    target = tmp_path / "ledger.json"
+    code, out = _stdout(capsys, SEIFERT_WADA + ["--out", str(target)])
+    assert code == 0
+    assert target.read_bytes() == out
+    assert hashlib.sha256(out).hexdigest() == LADDER[2][2]
