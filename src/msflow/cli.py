@@ -39,6 +39,7 @@ from .homology import (
     seifert_h1,
 )
 from .manifolds import (
+    GraphManifold,
     HomologyClassExpr,
     SeifertClosed,
     maximal_class,
@@ -126,11 +127,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _seifert_from_args(args) -> SeifertClosed:
+def _manifold_from_args(args) -> SeifertClosed | GraphManifold:
+    if args.target != "seifert":
+        return parse_graph(_read(args.file))
     text = f"g={args.genus},e={args.euler}"
     if args.fibers:
         text += f",fibers={args.fibers}"
     return parse_seifert(text)
+
+
+def _bound(m: SeifertClosed | GraphManifold) -> int:
+    return bound_seifert(m.genus, m.euler, m.n) if isinstance(m, SeifertClosed) else bound_graph(m)
 
 
 def _parse_class_text(text: str) -> HomologyClassExpr:
@@ -150,13 +157,15 @@ def _parse_class_text(text: str) -> HomologyClassExpr:
     return HomologyClassExpr(doc["lambda"], doc["alpha"], doc.get("tau"))
 
 
-def _parse_graph_class(g, text: str):
-    """Return (per-piece expressions, cycle coordinates) for a graph class."""
-    rank = len(graph_presentation(g).nontree_edges)
+def _parse_class(m, text: str):
+    """Return (class, cycle coordinates) for ``--class``.  A closed manifold's
+    class is one expression with cycles None; a graph class is one expression
+    per piece plus one coordinate per independent cycle of the gluing graph."""
+    rank = None if isinstance(m, SeifertClosed) else len(graph_presentation(m).nontree_edges)
     if text == "max":
-        exprs = maximal_class(g)
-        assert isinstance(exprs, tuple)
-        return exprs, (0,) * rank
+        return maximal_class(m), (None if rank is None else (0,) * rank)
+    if rank is None:
+        return _parse_class_text(text), None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -200,32 +209,23 @@ def _write_out(path: str | None, payload) -> None:
 
 
 def _cmd_bound(args) -> CommandOutcome:
-    if args.target == "seifert":
-        m = _seifert_from_args(args)
-        return CommandOutcome(0, {"bound": bound_seifert(m.genus, m.euler, m.n)})
-    if args.target == "graph":
-        return CommandOutcome(0, {"bound": bound_graph(parse_graph(_read(args.file)))})
-    components = [parse_graph(_read(f)) for f in args.files]
-    return CommandOutcome(0, {"bound": bound_sum(components)})
+    if args.target == "sum":
+        return CommandOutcome(0, {"bound": bound_sum([parse_graph(_read(f)) for f in args.files])})
+    return CommandOutcome(0, {"bound": _bound(_manifold_from_args(args))})
 
 
 def _cmd_plan(args) -> CommandOutcome:
-    if args.target == "seifert":
-        m = _seifert_from_args(args)
-        c = maximal_class(m) if args.class_spec == "max" else _parse_class_text(args.class_spec)
-        ledger = plan_seifert(m, c)
-    else:
-        m = parse_graph(_read(args.file))
-        c, cycles = _parse_graph_class(m, args.class_spec)
-        for k, v in enumerate(cycles):
-            if v != 0:
-                message = (f"cycle coordinate {k} is {v}; classes with a nonzero "
-                           "cycle component are not realizable by these fields")
-                return CommandOutcome(1, {"error": message}, (message,))
-        ledger = plan_graph(m, c)
+    m = _manifold_from_args(args)
+    c, cycles = _parse_class(m, args.class_spec)
+    for k, v in enumerate(cycles or ()):
+        if v != 0:
+            message = (f"cycle coordinate {k} is {v}; classes with a nonzero "
+                       "cycle component are not realizable by these fields")
+            return CommandOutcome(1, {"error": message}, (message,))
+    ledger = plan_seifert(m, c) if cycles is None else plan_graph(m, c)
     payload = ledger.to_json()
     if class_is_maximal(m, c):
-        expected = bound_seifert(m.genus, m.euler, m.n) if isinstance(m, SeifertClosed) else bound_graph(m)
+        expected = _bound(m)
         if ledger.total != expected:
             message = (f"construction needs {ledger.total} orbits but the "
                        f"closed-form bound is {expected}")
@@ -236,33 +236,22 @@ def _cmd_plan(args) -> CommandOutcome:
 
 
 def _cmd_homology(args) -> CommandOutcome:
-    if args.target == "seifert":
-        m = _seifert_from_args(args)
-        payload: dict = {"group": seifert_h1(m).to_json()}
-        if args.class_spec is not None:
-            if args.class_spec == "max":
-                c = maximal_class(m)
-            else:
-                c = _parse_class_text(args.class_spec)
-            assert isinstance(c, HomologyClassExpr)
-            validate_class(m, c)
-            payload["class"] = c.to_json()
-            payload["maximal"] = class_is_maximal(m, c)
-            payload["admissible"] = True
-            payload["trivial_in_h1"] = seifert_h1(m).is_trivial_class(expr_to_vector(m, c))
+    m = _manifold_from_args(args)
+    group = seifert_h1(m) if isinstance(m, SeifertClosed) else graph_h1(m)[0]
+    payload: dict = {"group": group.to_json()}
+    if args.class_spec is None:
         return CommandOutcome(0, payload)
-
-    g = parse_graph(_read(args.file))
-    group, _projection = graph_h1(g)
-    payload = {"group": group.to_json()}
-    if args.class_spec is not None:
-        exprs, cycles = _parse_graph_class(g, args.class_spec)
-        validate_class(g, exprs)
-        vector = graph_class_vector(g, exprs, cycles)
-        payload["class"] = {"pieces": [e.to_json() for e in exprs], "cycles": list(cycles)}
-        payload["maximal"] = class_is_maximal(g, exprs)
-        payload["admissible"] = class_is_admissible(g, vector)
-        payload["trivial_in_h1"] = group.is_trivial_class(vector)
+    c, cycles = _parse_class(m, args.class_spec)
+    validate_class(m, c)
+    if cycles is None:
+        vector = expr_to_vector(m, c)
+        payload["class"] = c.to_json()
+    else:
+        vector = graph_class_vector(m, c, cycles)
+        payload["class"] = {"pieces": [e.to_json() for e in c], "cycles": list(cycles)}
+    payload["maximal"] = class_is_maximal(m, c)
+    payload["admissible"] = cycles is None or class_is_admissible(m, vector)
+    payload["trivial_in_h1"] = group.is_trivial_class(vector)
     return CommandOutcome(0, payload)
 
 

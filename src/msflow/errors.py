@@ -89,6 +89,10 @@ class OrbitNotClosed(MsflowError):
     """A trajectory expected to close up missed its start beyond tolerance."""
 
 
+class StepTooLarge(MsflowError):
+    """The integration step lies outside RK4's stability interval for the model's rates."""
+
+
 class DegenerateOverlap(MsflowError):
     """Two curves share a positive-length arc, so intersections are not isolated."""
 

@@ -28,12 +28,15 @@ from .errors import (
     NothingToRepair,
     OrbitNotClosed,
     RepairFailed,
+    StepTooLarge,
     VanishingField,
     ZeroLambda,
 )
 
 DT_DEFAULT = 1e-3
 CLOSURE_TOL = 1e-6
+# RK4 is stable for y' = -k*y exactly when k*dt <= 2.7853 (Hairer-Wanner, ODEs II)
+RK4_STABILITY = 2.785
 CROSS_TOL = 1e-3
 BOUNDARY_TOL = 1e-12
 
@@ -213,8 +216,18 @@ def detect_torus_orbits(field: TorusChartField, dt: float = DT_DEFAULT,
     circles b = 1/4 and b = 3/4, in that order.  Signs are -1 (contracting)
     or +1 (expanding), measured by forward integration of perturbed starts.
     The b = 3/4 trajectory itself is integrated backward; see the module
-    docstring.
+    docstring.  Each orbit is traced in the direction where it attracts, at
+    the in-torus rate 2*pi*(lam^2 + 1); a step outside RK4's stability
+    interval for that rate raises StepTooLarge before any integration, since
+    the numerics could not tell a closed orbit from a missed one.
     """
+    rate = 2.0 * math.pi * (field.lam ** 2 + 1)
+    if rate * dt > RK4_STABILITY:
+        largest_lam = math.isqrt(max(0, math.floor(RK4_STABILITY / (2.0 * math.pi * dt) - 1)))
+        raise StepTooLarge(
+            f"lambda={field.lam} is too stiff for RK4 step dt={dt:g}: its in-torus rate "
+            f"{rate:.4g} needs a step of at most {RK4_STABILITY / rate:.3e} "
+            f"(at dt={dt:g}, |lambda| <= {largest_lam} resolves)")
     results = []
     eps = 1e-4
     for b_star, forward in ((0.25, True), (0.75, False)):

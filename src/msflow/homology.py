@@ -14,13 +14,14 @@ plus boundary classes delta_1..delta_{k-1} and drop the closing row; the
 section curve on boundary slot 0 is then the combination
 -sum(delta_c) - sum(mu_j).
 
-Everything is exact arbitrary-precision integer arithmetic; matrices at the
-sizes arising here stay tiny, so no modular tricks are needed.
+Everything is exact arbitrary-precision integer arithmetic.  A group runs
+one Smith normal form and keeps it; class queries reuse its transforms
+instead of eliminating the relations again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import DimensionMismatch
@@ -31,6 +32,9 @@ from .manifolds import (
     SeifertPiece,
     spanning_tree,
 )
+
+# Cached groups keep their SNF transforms, whose entries reach thousands of bits.
+_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -50,10 +54,6 @@ class IntMatrix:
     @staticmethod
     def from_rows(rows: "list[tuple[int, ...]] | tuple[tuple[int, ...], ...]", cols: int) -> "IntMatrix":
         return IntMatrix(len(rows), cols, tuple(rows))
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
@@ -110,6 +110,10 @@ class SNFResult:
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.s.entries[i][i] for i in range(min(self.s.rows, self.s.cols)))
+
+    def transpose(self) -> "SNFResult":
+        """(V^T, S^T, U^T), a Smith normal form of A^T: V^T A^T U^T = S^T."""
+        return SNFResult(self.v.transpose(), self.s.transpose(), self.u.transpose())
 
 
 def smith_normal_form(a: IntMatrix) -> SNFResult:
@@ -186,32 +190,33 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
                      IntMatrix(n, n, tuple(tuple(r) for r in v)))
 
 
-def solve_in_image(a: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Return an integer x with A @ x = v, or None when v is not in the image.
+def _solve_with_snf(a: IntMatrix, snf: SNFResult, v: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Integer x with A @ x = v from a given Smith normal form of A, or None.
 
     Solving S y = U v in the Smith basis reduces the question to divisibility
     by the diagonal entries; any returned solution is re-multiplied through A
     as a final guard.
     """
-    if len(v) != a.rows:
-        raise DimensionMismatch(f"vector of length {len(v)} against {a.rows}x{a.cols} matrix")
-    snf = smith_normal_form(a)
-    w = snf.u.apply(tuple(int(x) for x in v))
+    v = tuple(int(x) for x in v)
+    diag = snf.diagonal()
     y = [0] * a.cols
-    rank_bound = min(a.rows, a.cols)
-    for i, wi in enumerate(w):
-        d = snf.s.entries[i][i] if i < rank_bound else 0
-        if d == 0:
-            if wi != 0:
-                return None
-        else:
-            if wi % d != 0:
-                return None
+    for i, wi in enumerate(snf.u.apply(v)):
+        d = diag[i] if i < len(diag) else 0
+        if (wi % d if d else wi) != 0:
+            return None  # w_i is not a multiple of d_i (or is nonzero where d_i = 0)
+        if d:
             y[i] = wi // d
     x = snf.v.apply(tuple(y))
-    if a.apply(x) != tuple(int(e) for e in v):
+    if a.apply(x) != v:
         raise ArithmeticError("smith-basis solution failed re-multiplication")
     return x
+
+
+def solve_in_image(a: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Return an integer x with A @ x = v, or None when v is not in the image."""
+    if len(v) != a.rows:
+        raise DimensionMismatch(f"vector of length {len(v)} against {a.rows}x{a.cols} matrix")
+    return _solve_with_snf(a, smith_normal_form(a), v)
 
 
 @dataclass(frozen=True)
@@ -220,12 +225,15 @@ class H1Group:
 
     `presentation` has one row per relation over `generator_names`.  The
     invariant factors keep only entries >= 2 and satisfy d_i | d_{i+1}.
+    `snf` is the one Smith normal form of `presentation`, kept for class
+    queries; it takes no part in equality or `to_json`.
     """
 
     free_rank: int
     invariant_factors: tuple[int, ...]
     presentation: IntMatrix
     generator_names: tuple[str, ...]
+    snf: SNFResult = field(compare=False, repr=False)
 
     def describe(self) -> str:
         parts = []
@@ -250,7 +258,7 @@ class H1Group:
         if len(vector) != len(self.generator_names):
             raise DimensionMismatch(
                 f"class vector of length {len(vector)} over {len(self.generator_names)} generators")
-        return solve_in_image(self.presentation.transpose(), tuple(vector)) is not None
+        return _solve_with_snf(self.presentation.transpose(), self.snf.transpose(), vector) is not None
 
     def to_json(self) -> dict:
         return {
@@ -264,12 +272,14 @@ class H1Group:
 def group_from_presentation(relations: IntMatrix, names: tuple[str, ...]) -> H1Group:
     if relations.cols != len(names):
         raise DimensionMismatch(f"{relations.cols} columns for {len(names)} generators")
-    diag = [d for d in smith_normal_form(relations).diagonal() if d != 0]
+    snf = smith_normal_form(relations)
+    diag = [d for d in snf.diagonal() if d != 0]
     return H1Group(
         free_rank=len(names) - len(diag),
         invariant_factors=tuple(d for d in diag if d > 1),
         presentation=relations,
         generator_names=names,
+        snf=snf,
     )
 
 
@@ -298,7 +308,7 @@ def _fiber_rows(m: SeifertClosed | SeifertPiece, width: int) -> list[tuple[int, 
     return rows
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def seifert_h1(m: SeifertClosed) -> H1Group:
     """H_1 of a closed Seifert manifold from the surgery presentation."""
     names = _generator_names(m)
@@ -311,7 +321,7 @@ def seifert_h1(m: SeifertClosed) -> H1Group:
     return group_from_presentation(IntMatrix.from_rows(rows, width), names)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def piece_h1(p: SeifertPiece) -> H1Group:
     """H_1 of a bounded piece: fiber relations only, no closing row."""
     names = _generator_names(p)
@@ -407,7 +417,7 @@ class GraphPresentation:
     cycle_projection: IntMatrix
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def graph_presentation(g: GraphManifold) -> GraphPresentation:
     offsets = []
     names: list[str] = []

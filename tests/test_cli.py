@@ -189,6 +189,22 @@ class TestVerify:
         assert out.exit_code == 0 and out.payload["pass"]
 
 
+class TestStiffTorusModel:
+    """Beyond |lambda| = 21 the default step cannot resolve the model: exit 1
+    naming the step, not the exit-2 "model is wrong" verdict."""
+
+    @pytest.mark.parametrize("lam", [40, -22])
+    def test_beyond_the_stable_step_is_exit_1(self, lam):
+        out = cli.run(["verify", "torus-model", "--lambda", str(lam)])
+        assert out.exit_code == 1
+        assert "step" in out.payload["error"]
+
+    def test_largest_stable_lambda_passes(self):
+        out = cli.run(["verify", "torus-model", "--lambda", "21"])
+        assert out.exit_code == 0 and out.payload["pass"]
+        assert all(o["closure_error"] < 1e-6 for o in out.payload["orbits"])
+
+
 class TestHarness:
     def test_unknown_command(self):
         out = cli.run(["conjecture"])

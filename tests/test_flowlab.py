@@ -15,6 +15,7 @@ from msflow.errors import (
     NonFinite,
     NothingToRepair,
     OrbitNotClosed,
+    StepTooLarge,
     VanishingField,
     ZeroLambda,
 )
@@ -142,6 +143,29 @@ class TestOrbitDetection:
         assert [o["floquet"] for o in report["orbits"]] == [[-1, -1], [1, -1]]
         assert report["boundary_max_error"] < 1e-12
         assert len(orbits) == 2
+
+
+class TestStepStability:
+    """RK4 resolves the in-torus rate 2*pi*(lam^2 + 1) only while rate * dt
+    stays inside its stability interval, about 2.785."""
+
+    @pytest.mark.parametrize("lam,dt", [(22, 1e-3), (-22, 1e-3), (40, 1e-3), (15, 2e-3)])
+    def test_stiff_lambda_raises_before_integrating(self, lam, dt):
+        with pytest.raises(StepTooLarge, match=rf"dt={dt:g}"):
+            fl.detect_torus_orbits(fl.TorusChartField(lam), dt=dt)
+
+    def test_message_names_the_largest_stable_step(self):
+        with pytest.raises(StepTooLarge) as info:
+            fl.detect_torus_orbits(fl.TorusChartField(40))
+        limit = fl.RK4_STABILITY / (2 * math.pi * (40 ** 2 + 1))
+        assert f"{limit:.3e}" in str(info.value)
+        assert "|lambda| <= 21" in str(info.value)
+
+    def test_smaller_step_resolves_a_stiff_lambda(self):
+        # 2*pi*(22^2 + 1) * 5e-4 = 1.52, well inside the interval
+        orbits = fl.detect_torus_orbits(fl.TorusChartField(22), dt=5e-4)
+        for traj, _signs in orbits:
+            assert fl.wrapped_distance(traj.end, traj.start, (True, False, True)) < 1e-6
 
 
 class TestTorusCurve:

@@ -52,6 +52,15 @@ LADDER = [
      "63175d70a0868fe615a988d9dc5c8eda81586a39efa6e166dc17e10ce5847593"),
     (["homology", "graph", "{chain}", "--class", CHAIN3_CLASS], 0,
      "9d20572eec3ff334417c124d2be62db309d426036cbd1a98391ad0fbf6295e8e"),
+    (["homology", "seifert", "--genus", "0", "--euler", "-1", "--fibers", "2/1;3/1;5/1",
+      "--class", "max"], 0,
+     "f3d43a70af8f63faffc671ee2f13a24c4f7f4ed65ba6fc2a72033324667e70fc"),
+    (["homology", "seifert", "--genus", "0", "--euler", "0", "--fibers", "5/3",
+      "--class", "lambda=;alpha=0,3"], 0,
+     "83eb38ef1066f8c51148ce79e35be5cf4839849cdc9852818487b4a6c4f88d95"),
+    (["homology", "seifert", "--genus", "2", "--euler", "3", "--fibers", "3/2;5/1",
+      "--class", "max"], 0,
+     "82d2bf10bb13179e71553b344928f93e98105cbfd34c6881ccd37597dc09b2d0"),
 ]
 
 

@@ -6,6 +6,7 @@ matrices, and against the U*A*V = S transformation identity with
 unimodular U, V on random ones.
 """
 
+import dataclasses
 import math
 import random
 from itertools import combinations
@@ -13,6 +14,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from msflow import homology
 from msflow.errors import DimensionMismatch
 from msflow.homology import (
     H1Group,
@@ -24,6 +26,7 @@ from msflow.homology import (
     graph_class_vector,
     graph_h1,
     graph_presentation,
+    group_from_presentation,
     piece_h1,
     seifert_h1,
     smith_normal_form,
@@ -351,3 +354,59 @@ class TestExprToVector:
         # |H1| = |q| = 3 here and gamma1 generates: 3*gamma1 must die
         assert not group.is_trivial_class(gamma1)
         assert group.is_trivial_class(tuple(3 * x for x in gamma1))
+
+
+def _names(n):
+    return tuple(f"x{i}" for i in range(n))
+
+
+class TestClassQueriesReuseTheGroupSNF:
+    """is_trivial_class answers from the group's stored Smith normal form;
+    solving against the transposed presentation is the reference."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_solving_the_transpose(self, data):
+        rows = data.draw(st.integers(min_value=0, max_value=4))
+        cols = data.draw(st.integers(min_value=1, max_value=5))
+        entries = tuple(
+            tuple(data.draw(st.integers(min_value=-6, max_value=6)) for _ in range(cols))
+            for _ in range(rows))
+        group = group_from_presentation(IntMatrix(rows, cols, entries), _names(cols))
+        reference = group.presentation.transpose()
+        v = tuple(data.draw(st.integers(min_value=-6, max_value=6)) for _ in range(cols))
+        assert group.is_trivial_class(v) == (solve_in_image(reference, v) is not None)
+        coeffs = [data.draw(st.integers(min_value=-4, max_value=4)) for _ in range(rows)]
+        combo = tuple(sum(c * row[j] for c, row in zip(coeffs, entries)) for j in range(cols))
+        assert group.is_trivial_class(combo)
+        assert solve_in_image(reference, combo) is not None
+
+    def test_one_snf_for_a_group_and_three_queries(self, monkeypatch):
+        m = closed(2, 3, ((3, 2), (5, 1)))
+        relations, names = seifert_h1(m).presentation, seifert_h1(m).generator_names
+        queries = [fiber_vector(m), expr_to_vector(m, maximal_class(m)), (0,) * len(names)]
+        calls = []
+        real = homology.smith_normal_form
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(homology, "smith_normal_form", counting)
+        group = group_from_presentation(relations, names)
+        answers = [group.is_trivial_class(q) for q in queries]
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert answers == [solve_in_image(relations.transpose(), q) is not None for q in queries]
+
+    def test_snf_is_not_part_of_equality_or_json(self):
+        a = group_from_presentation(IntMatrix.from_rows(((2, 0),), 2), _names(2))
+        b = dataclasses.replace(a, snf=smith_normal_form(IntMatrix.from_rows(((0, 2),), 2)))
+        assert a == b and hash(a) == hash(b)
+        assert "snf" not in a.to_json()
+
+    def test_guard_rejects_a_witness_from_a_foreign_snf(self):
+        group = group_from_presentation(IntMatrix.from_rows(((2, 0),), 2), _names(2))
+        forged = dataclasses.replace(group, snf=smith_normal_form(IntMatrix.from_rows(((1, 0),), 2)))
+        with pytest.raises(ArithmeticError):
+            forged.is_trivial_class((1, 0))
