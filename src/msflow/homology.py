@@ -15,12 +15,16 @@ section curve on boundary slot 0 is then the combination
 -sum(delta_c) - sum(mu_j).
 
 Everything is exact arbitrary-precision integer arithmetic.  A group runs
-one Smith normal form and keeps it; class queries reuse its transforms
-instead of eliminating the relations again.
+one sparse elimination of its relations and keeps the logged row and column
+operations instead of dense transforms U and V, whose entries grow to
+thousands of bits on large presentations; class queries replay those
+operations on the class vector.  `smith_normal_form` is the dense reference
+with explicit U and V; no homology path calls it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -33,7 +37,7 @@ from .manifolds import (
     spanning_tree,
 )
 
-# Cached groups keep their SNF transforms, whose entries reach thousands of bits.
+# Cached groups keep their elimination logs, one triple per row or column operation.
 _CACHE_SIZE = 16
 
 
@@ -111,10 +115,6 @@ class SNFResult:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.s.entries[i][i] for i in range(min(self.s.rows, self.s.cols)))
 
-    def transpose(self) -> "SNFResult":
-        """(V^T, S^T, U^T), a Smith normal form of A^T: V^T A^T U^T = S^T."""
-        return SNFResult(self.v.transpose(), self.s.transpose(), self.u.transpose())
-
 
 def smith_normal_form(a: IntMatrix) -> SNFResult:
     """Diagonalize A over the integers, tracking the row and column transforms.
@@ -190,33 +190,135 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
                      IntMatrix(n, n, tuple(tuple(r) for r in v)))
 
 
-def _solve_with_snf(a: IntMatrix, snf: SNFResult, v: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Integer x with A @ x = v from a given Smith normal form of A, or None.
+@dataclass(frozen=True)
+class _Reduction:
+    """A diagonalization D = U @ R @ V kept as its elementary operations.
 
-    Solving S y = U v in the Smith basis reduces the question to divisibility
-    by the diagonal entries; any returned solution is re-multiplied through A
-    as a final guard.
+    D is zero except D[row][col] = sign * d (d > 0) for each entry of
+    `pivots`.  U and V are never formed: `row_ops` lists (k, i, f) for
+    "row k += f * row i" and `col_ops` lists (j, c, f) for "col j += f * col c",
+    each in the order applied.
+    """
+
+    pivots: tuple[tuple[int, int, int, int], ...]
+    row_ops: tuple[tuple[int, int, int], ...]
+    col_ops: tuple[tuple[int, int, int], ...]
+
+
+def _eliminate(relations: IntMatrix) -> _Reduction:
+    """Diagonalize R by sparse integer elimination (no divisibility chain).
+
+    Rows are {col: value} dicts with a column -> rows index.  Each pivot is
+    the entry of least |value|, ties broken by Markowitz cost
+    (row nnz - 1) * (col nnz - 1) and then by (row, col).  Row operations
+    clear the pivot column; column operations then clear the pivot row and,
+    with the column already clear, touch that row only.  Nonzero remainders
+    are strictly smaller than the pivot, and the least becomes the next one
+    (Euclid), so the loop terminates.
+    """
+    rows = [{j: a for j, a in enumerate(row) if a} for row in relations.entries]
+    cols: list[set[int]] = [set() for _ in range(relations.cols)]
+    for r, row in enumerate(rows):
+        for j in row:
+            cols[j].add(r)
+    pivots: list[tuple[int, int, int, int]] = []
+    row_ops: list[tuple[int, int, int]] = []
+    col_ops: list[tuple[int, int, int]] = []
+
+    def best(entries) -> tuple[int, int] | None:
+        entries = [(abs(a), r, c) for r, c, a in entries]
+        if not entries:
+            return None
+        least = min(entries)[0]
+        _, r, c = min(((len(rows[r]) - 1) * (len(cols[c]) - 1), r, c) for v, r, c in entries if v == least)
+        return r, c
+
+    def add(r: int, j: int, delta: int) -> None:
+        value = rows[r].get(j, 0) + delta
+        if value:
+            rows[r][j] = value
+            cols[j].add(r)
+        else:
+            del rows[r][j]
+            cols[j].discard(r)
+
+    pivot = best((r, c, a) for r, row in enumerate(rows) for c, a in row.items())
+    while pivot is not None:
+        r, c = pivot
+        a = rows[r][c]
+        for k in cols[c] - {r}:
+            f = -(rows[k][c] // a)
+            if f:
+                row_ops.append((k, r, f))
+                for j, b in rows[r].items():
+                    add(k, j, f * b)
+        if len(cols[c]) > 1:
+            pivot = best((k, c, rows[k][c]) for k in cols[c] - {r})
+            continue
+        for j in [j for j in rows[r] if j != c]:
+            f = -(rows[r][j] // a)
+            if f:
+                col_ops.append((j, c, f))
+                add(r, j, f * a)
+        if len(rows[r]) > 1:
+            pivot = best((r, j, b) for j, b in rows[r].items() if j != c)
+            continue
+        pivots.append((r, c, abs(a), 1 if a > 0 else -1))
+        rows[r] = {}
+        cols[c] = set()
+        pivot = best((r, c, a) for r, row in enumerate(rows) for c, a in row.items())
+    return _Reduction(tuple(pivots), tuple(row_ops), tuple(col_ops))
+
+
+def _invariant_factors(diagonal: list[int]) -> tuple[int, ...]:
+    """Fold diagonal entries pairwise into (gcd, lcm) until d_i | d_{i+1}; keep d >= 2."""
+    ds = [d for d in diagonal if d > 1]
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            g = math.gcd(ds[i], ds[j])
+            ds[i], ds[j] = g, ds[i] // g * ds[j]
+    return tuple(d for d in ds if d > 1)
+
+
+def _solve(relations: IntMatrix, reduction: _Reduction, v: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Integer x with x @ R = v, from a reduction of the relations R, or None.
+
+    v lies in the row lattice of R iff w = v @ V does in that of D: w must be
+    a multiple of d at each pivot column and zero elsewhere.  The witness is
+    y @ U with y_row = w_col / (sign * d), and is re-multiplied through R as
+    a final guard.
     """
     v = tuple(int(x) for x in v)
-    diag = snf.diagonal()
-    y = [0] * a.cols
-    for i, wi in enumerate(snf.u.apply(v)):
-        d = diag[i] if i < len(diag) else 0
-        if (wi % d if d else wi) != 0:
-            return None  # w_i is not a multiple of d_i (or is nonzero where d_i = 0)
-        if d:
-            y[i] = wi // d
-    x = snf.v.apply(tuple(y))
-    if a.apply(x) != v:
-        raise ArithmeticError("smith-basis solution failed re-multiplication")
-    return x
+    w = list(v)
+    for j, c, f in reduction.col_ops:
+        w[j] += f * w[c]
+    x = [0] * relations.rows
+    for r, c, d, sign in reduction.pivots:
+        q, rem = divmod(w[c], d)
+        if rem:
+            return None
+        x[r] = sign * q
+        w[c] = 0
+    if any(w):
+        return None  # nonzero on a column without a pivot
+    for k, i, f in reversed(reduction.row_ops):
+        x[i] += f * x[k]
+    image = [0] * relations.cols
+    for xr, row in zip(x, relations.entries):
+        if xr:
+            for j, a in enumerate(row):
+                image[j] += xr * a
+    if tuple(image) != v:
+        raise ArithmeticError("elimination witness failed re-multiplication")
+    return tuple(x)
 
 
 def solve_in_image(a: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...] | None:
     """Return an integer x with A @ x = v, or None when v is not in the image."""
     if len(v) != a.rows:
         raise DimensionMismatch(f"vector of length {len(v)} against {a.rows}x{a.cols} matrix")
-    return _solve_with_snf(a, smith_normal_form(a), v)
+    columns = a.transpose()
+    return _solve(columns, _eliminate(columns), v)
 
 
 @dataclass(frozen=True)
@@ -225,15 +327,16 @@ class H1Group:
 
     `presentation` has one row per relation over `generator_names`.  The
     invariant factors keep only entries >= 2 and satisfy d_i | d_{i+1}.
-    `snf` is the one Smith normal form of `presentation`, kept for class
-    queries; it takes no part in equality or `to_json`.
+    `reduction` is the one sparse elimination of `presentation`, kept so that
+    class queries replay its operations instead of eliminating again; it
+    takes no part in equality, hashing, repr or `to_json`.
     """
 
     free_rank: int
     invariant_factors: tuple[int, ...]
     presentation: IntMatrix
     generator_names: tuple[str, ...]
-    snf: SNFResult = field(compare=False, repr=False)
+    reduction: _Reduction = field(compare=False, repr=False)
 
     def describe(self) -> str:
         parts = []
@@ -258,7 +361,7 @@ class H1Group:
         if len(vector) != len(self.generator_names):
             raise DimensionMismatch(
                 f"class vector of length {len(vector)} over {len(self.generator_names)} generators")
-        return _solve_with_snf(self.presentation.transpose(), self.snf.transpose(), vector) is not None
+        return _solve(self.presentation, self.reduction, vector) is not None
 
     def to_json(self) -> dict:
         return {
@@ -272,14 +375,13 @@ class H1Group:
 def group_from_presentation(relations: IntMatrix, names: tuple[str, ...]) -> H1Group:
     if relations.cols != len(names):
         raise DimensionMismatch(f"{relations.cols} columns for {len(names)} generators")
-    snf = smith_normal_form(relations)
-    diag = [d for d in snf.diagonal() if d != 0]
+    reduction = _eliminate(relations)
     return H1Group(
-        free_rank=len(names) - len(diag),
-        invariant_factors=tuple(d for d in diag if d > 1),
+        free_rank=len(names) - len(reduction.pivots),
+        invariant_factors=_invariant_factors([d for _, _, d, _ in reduction.pivots]),
         presentation=relations,
         generator_names=names,
-        snf=snf,
+        reduction=reduction,
     )
 
 

@@ -1,11 +1,18 @@
 """Command-line interface: payloads, exit codes, and determinism."""
 
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import msflow
 from msflow import cli
 from msflow.manifolds import GraphManifold, Gluing, SeifertPiece
+from msflow.selftest import _random_fibers, _random_unimodular
 
 SWAP = ((0, 1), (1, 0))
 
@@ -215,6 +222,25 @@ class TestHarness:
         a = json.dumps(cli.run(argv).payload, sort_keys=True)
         b = json.dumps(cli.run(argv).payload, sort_keys=True)
         assert a == b
+
+    def test_homology_stdout_is_byte_identical_across_runs(self, tmp_path):
+        """The elimination's pivot order reaches no byte of stdout, whatever
+        the interpreter's hash seed."""
+        rng = random.Random(20)
+        pieces = tuple(SeifertPiece(rng.randint(0, 3), 1 if i in (0, 19) else 2,
+                                    _random_fibers(rng, rng.randint(0, 3))) for i in range(20))
+        edges = tuple(Gluing(i, 0 if i == 0 else 1, i + 1, 0, _random_unimodular(rng)) for i in range(19))
+        path = write_graph(tmp_path, pieces=pieces, edges=edges)
+        src = str(Path(msflow.__file__).resolve().parents[1])
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+            done = subprocess.run([sys.executable, "-m", "msflow", "homology", "graph", str(path),
+                                   "--class", "max"], env=env, capture_output=True, timeout=60, check=True)
+            outs.append(done.stdout)
+        assert len(json.loads(outs[0])["group"]["invariant_factors"]) > 1
+        assert outs[0] == outs[1]
 
     def test_main_prints_single_json_document(self, capsys):
         code = cli.main(["bound", "seifert", "--genus", "0", "--euler", "2"])

@@ -2,7 +2,10 @@
 
 The digests were recorded before the planner was restructured around one
 pipeline; any change to a ledger's bytes (labels, orbit order, class JSON,
-key order) shows up here as a digest mismatch.
+key order) shows up here as a digest mismatch.  The two large
+``homology seifert`` rows were recorded before the dense Smith normal form
+gave way to sparse elimination; they pin invariant-factor lists at a size
+where the elimination's pivot order differs from the dense one.
 """
 
 import hashlib
@@ -36,6 +39,12 @@ CHAIN3_CLASS = json.dumps({"pieces": [
 SEIFERT_WADA = ["plan", "seifert", "--genus", "2", "--euler", "-3", "--fibers", "3/2;5/1",
                 "--class", "lambda=3,-2;alpha=2,4,-5"]
 
+
+def _fibers(n):
+    """Fibers 2/1;3/1;...;(n+1)/1, large enough that elimination order matters."""
+    return ";".join(f"{j + 2}/1" for j in range(n))
+
+
 # (argv with {two}/{chain} standing for fixture paths, exit code, sha256 of stdout)
 LADDER = [
     (["plan", "seifert", "--genus", "1", "--euler", "2"], 0,
@@ -61,6 +70,12 @@ LADDER = [
     (["homology", "seifert", "--genus", "2", "--euler", "3", "--fibers", "3/2;5/1",
       "--class", "max"], 0,
      "82d2bf10bb13179e71553b344928f93e98105cbfd34c6881ccd37597dc09b2d0"),
+    (["homology", "seifert", "--genus", "20", "--euler", "3", "--fibers", _fibers(20),
+      "--class", "max"], 0,
+     "f25e077712d8fb734ca83f0a2de2830db3e94196f007837bb4e4a391bcdb7ae1"),
+    (["homology", "seifert", "--genus", "0", "--euler", "3", "--fibers", _fibers(60),
+      "--class", "max"], 0,
+     "dfe3d977d72e9022c5f49bced22efdb7607155f532695c2bb5031d1c7c9c60fd"),
 ]
 
 
