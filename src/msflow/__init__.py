@@ -1,6 +1,7 @@
 """Orbit budgets for non-singular Morse-Smale flows on Seifert and graph
 manifolds: closed-form bounds, a replayable construction ledger, first
-homology via Smith normal form, and numerical checks of the local models.
+homology via sparse integer elimination, and numerical checks of the local
+models.
 
 The numerical laboratory lives in :mod:`msflow.flowlab` and is imported
 lazily so that pure-arithmetic users never pay for numpy.

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import flowlab
@@ -35,13 +36,13 @@ from .homology import (
     expr_to_vector,
     graph_class_vector,
     graph_h1,
-    graph_presentation,
     seifert_h1,
 )
 from .manifolds import (
     GraphManifold,
     HomologyClassExpr,
     SeifertClosed,
+    _require_int,
     maximal_class,
     parse_graph,
     parse_seifert,
@@ -73,6 +74,13 @@ class CommandOutcome:
     exit_code: int
     payload: "dict | list | None"
     diagnostics: tuple[str, ...] = ()
+
+    @cached_property
+    def stdout(self) -> str:
+        """The payload as written to stdout (and by ``plan --out``), encoded once."""
+        if self.payload is None:
+            return ""
+        return json.dumps(self.payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 _VERIFY_FAILURES = (OrbitNotClosed, RepairFailed, NothingToRepair,
@@ -160,8 +168,9 @@ def _parse_class_text(text: str) -> HomologyClassExpr:
 def _parse_class(m, text: str):
     """Return (class, cycle coordinates) for ``--class``.  A closed manifold's
     class is one expression with cycles None; a graph class is one expression
-    per piece plus one coordinate per independent cycle of the gluing graph."""
-    rank = None if isinstance(m, SeifertClosed) else len(graph_presentation(m).nontree_edges)
+    per piece plus one coordinate per independent cycle of the gluing graph,
+    whose count is edges - pieces + 1 since the graph is connected."""
+    rank = None if isinstance(m, SeifertClosed) else len(m.edges) - m.l + 1
     if text == "max":
         return maximal_class(m), (None if rank is None else (0,) * rank)
     if rank is None:
@@ -177,10 +186,7 @@ def _parse_class(m, text: str):
     if not isinstance(pieces, list) or not isinstance(cycles, list):
         raise _UsageError("graph class 'pieces' and 'cycles' must be lists")
     exprs = tuple(HomologyClassExpr.from_json(p) for p in pieces)
-    try:
-        cycles = tuple(int(v) for v in cycles)
-    except TypeError:
-        raise _UsageError(f"cycle coordinates {cycles!r} are not all integers") from None
+    cycles = tuple(_require_int(v, f"cycle coordinate {k}") for k, v in enumerate(cycles))
     if len(cycles) != rank:
         raise _UsageError(f"expected {rank} cycle coordinates, got {len(cycles)}")
     return exprs, cycles
@@ -203,11 +209,6 @@ def _tolerance() -> float:
     return tol
 
 
-def _write_out(path: str | None, payload) -> None:
-    if path:
-        Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-
-
 def _cmd_bound(args) -> CommandOutcome:
     if args.target == "sum":
         return CommandOutcome(0, {"bound": bound_sum([parse_graph(_read(f)) for f in args.files])})
@@ -223,7 +224,6 @@ def _cmd_plan(args) -> CommandOutcome:
                        "cycle component are not realizable by these fields")
             return CommandOutcome(1, {"error": message}, (message,))
     ledger = plan_seifert(m, c) if cycles is None else plan_graph(m, c)
-    payload = ledger.to_json()
     if class_is_maximal(m, c):
         expected = _bound(m)
         if ledger.total != expected:
@@ -231,13 +231,15 @@ def _cmd_plan(args) -> CommandOutcome:
                        f"closed-form bound is {expected}")
             return CommandOutcome(2, {"error": message, "total": ledger.total,
                                       "bound": expected}, (message,))
-    _write_out(args.out, payload)
-    return CommandOutcome(0, payload)
+    outcome = CommandOutcome(0, ledger.to_json())
+    if args.out:
+        Path(args.out).write_text(outcome.stdout)
+    return outcome
 
 
 def _cmd_homology(args) -> CommandOutcome:
     m = _manifold_from_args(args)
-    group = seifert_h1(m) if isinstance(m, SeifertClosed) else graph_h1(m)[0]
+    group = seifert_h1(m) if isinstance(m, SeifertClosed) else graph_h1(m)
     payload: dict = {"group": group.to_json()}
     if args.class_spec is None:
         return CommandOutcome(0, payload)
@@ -322,8 +324,7 @@ def main(argv=None) -> int:
     outcome = run(sys.argv[1:] if argv is None else argv)
     for line in outcome.diagnostics:
         print(line, file=sys.stderr)
-    if outcome.payload is not None:
-        sys.stdout.write(json.dumps(outcome.payload, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(outcome.stdout)
     return outcome.exit_code
 
 

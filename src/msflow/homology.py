@@ -72,11 +72,6 @@ class IntMatrix:
             for i in range(self.rows))
         return IntMatrix(self.rows, other.cols, out)
 
-    def apply(self, vector: tuple[int, ...]) -> tuple[int, ...]:
-        if len(vector) != self.cols:
-            raise DimensionMismatch(f"vector of length {len(vector)} against {self.rows}x{self.cols} matrix")
-        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self.entries)
-
     def det(self) -> int:
         """Determinant by fraction-free Gaussian elimination (Bareiss)."""
         if self.rows != self.cols:
@@ -507,16 +502,16 @@ class GraphPresentation:
     """Assembled presentation of a graph manifold's first homology.
 
     Generators are the piece generators (prefixed ``p<i>.``) followed by one
-    free generator ``t<m>`` per non-tree edge; `piece_offsets[i]` locates piece
-    i's block.  `cycle_projection` reads off the ``t`` coordinates, i.e. the
-    class's image in the cycle space of the gluing multigraph.
+    free generator ``t<m>`` per non-tree edge m, listed in `nontree_edges`;
+    `piece_offsets[i]` locates piece i's block.  The trailing
+    ``len(nontree_edges)`` coordinates of a class are its image in the cycle
+    space of the gluing multigraph.
     """
 
     generator_names: tuple[str, ...]
     relations: IntMatrix
     piece_offsets: tuple[int, ...]
     nontree_edges: tuple[int, ...]
-    cycle_projection: IntMatrix
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -527,7 +522,6 @@ def graph_presentation(g: GraphManifold) -> GraphPresentation:
         offsets.append(len(names))
         names += [f"p{i}.{name}" for name in _generator_names(pc)]
     _tree, nontree = spanning_tree(g.l, g.edges)
-    t_base = len(names)
     names += [f"t{idx}" for idx in nontree]
     width = len(names)
 
@@ -552,25 +546,18 @@ def graph_presentation(g: GraphManifold) -> GraphPresentation:
         s_b = embedded(e.piece_b, section_vector(g.pieces[e.piece_b], e.slot_b))
         rows.append(tuple(x - a * y - c * z for x, y, z in zip(h_a, h_b, s_b)))
         rows.append(tuple(x - b * y - d * z for x, y, z in zip(s_a, h_b, s_b)))
-
-    projection_rows = []
-    for k in range(len(nontree)):
-        row = [0] * width
-        row[t_base + k] = 1
-        projection_rows.append(tuple(row))
     return GraphPresentation(
         generator_names=tuple(names),
         relations=IntMatrix.from_rows(rows, width),
         piece_offsets=tuple(offsets),
         nontree_edges=nontree,
-        cycle_projection=IntMatrix.from_rows(projection_rows, width),
     )
 
 
-def graph_h1(g: GraphManifold) -> tuple[H1Group, IntMatrix]:
-    """H_1 of the glued manifold plus the projection onto graph cycles."""
+def graph_h1(g: GraphManifold) -> H1Group:
+    """H_1 of the glued manifold, over the generators of :func:`graph_presentation`."""
     pres = graph_presentation(g)
-    return group_from_presentation(pres.relations, pres.generator_names), pres.cycle_projection
+    return group_from_presentation(pres.relations, pres.generator_names)
 
 
 def graph_class_vector(
@@ -600,12 +587,12 @@ def graph_class_vector(
 
 def class_is_admissible(g: GraphManifold, vector: tuple[int, ...]) -> bool:
     """A class is realizable by a nMS field iff it projects to zero in the
-    cycle space of the gluing graph."""
+    cycle space of the gluing graph, i.e. its trailing ``t`` coordinates vanish."""
     pres = graph_presentation(g)
     if len(vector) != len(pres.generator_names):
         raise DimensionMismatch(
             f"class vector of length {len(vector)} over {len(pres.generator_names)} generators")
-    return all(v == 0 for v in pres.cycle_projection.apply(tuple(vector)))
+    return not any(vector[len(vector) - len(pres.nontree_edges):])
 
 
 def class_is_maximal(

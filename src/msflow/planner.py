@@ -484,18 +484,18 @@ def homotopy_adjust_step(ledger: Ledger) -> Ledger:
 # ---------------------------------------------------------------------------
 # The pipeline
 
-def _unit_class(m: "SeifertClosed | SeifertPiece", role: str, index: int) -> HomologyClassExpr:
-    lam = [0] * m.genus
-    alpha = [0] * (m.n + 1)
-    tau = [0] * (m.boundary - 1) if isinstance(m, SeifertPiece) else None
+def _unit_class(m: "SeifertClosed | SeifertPiece", role: str, index: int) -> dict:
+    # the JSON document of the basis class that (role, index) names
+    doc = {"lambda": [0] * m.genus, "alpha": [0] * (m.n + 1)}
+    if isinstance(m, SeifertPiece):
+        doc["tau"] = [0] * (m.boundary - 1)
     if role == "beta":
-        lam[index - 1] = 1
+        doc["lambda"][index - 1] = 1
     elif role == "delta":
-        assert tau is not None
-        tau[index - 1] = 1
+        doc["tau"][index - 1] = 1
     else:
-        alpha[index] = 1
-    return HomologyClassExpr(tuple(lam), tuple(alpha), None if tau is None else tuple(tau))
+        doc["alpha"][index] = 1
+    return doc
 
 
 def _coefficient(c: HomologyClassExpr, role: str, index: int) -> int:
@@ -513,12 +513,12 @@ def _lift_step_doc(m: "SeifertClosed | SeifertPiece", piece: int | None) -> dict
     saddles = []
     for role, i in singular:
         # aux singularities and saddles lift to regular fibers (slot 0)
-        cls = _unit_class(m, "gamma", i if role == "gamma" else 0).to_json()
+        cls = _unit_class(m, "gamma", i if role == "gamma" else 0)
         if role == "saddle":
             saddles.append([_label(piece, role, i), cls])
         else:
             fibers.append([_label(piece, role, i), _alternate(len(fibers)), cls])
-    tori = [[_label(piece, role, i), _alternate(k), _unit_class(m, role, i).to_json()]
+    tori = [[_label(piece, role, i), _alternate(k), _unit_class(m, role, i)]
             for k, (role, i) in enumerate(periodic)]
     return {"op": "lift", "fibers": fibers, "saddles": saddles, "tori": tori}
 
@@ -581,25 +581,33 @@ def plan_graph(g: GraphManifold,
     return _plan(g, list(zip(range(g.l), g.pieces, validate_class(g, tuple(per_piece)))))
 
 
+# how replay applies each op to a draft
+_REPLAY = {
+    "lift": lambda draft, step: draft.lift(step),
+    "destroy_torus": lambda draft, step: draft.destroy(step["torus"], step["lambda"]),
+    "wada5": lambda draft, step: draft.wada5(step["orbit"], step["q"]),
+    "reverse_link": lambda draft, step: draft.reverse(step["link"]),
+    "homotopy_adjust": lambda draft, step: draft.adjust(),
+}
+
+
 def replay(steps, manifold=None, target_class=None) -> Ledger:
     """Rebuild a ledger from serialized step descriptors.
 
     The orbit list, totals, and d2 accumulation depend only on the steps, so
-    replaying a ledger's steps reproduces its orbits exactly.
+    replaying a ledger's steps reproduces its orbits exactly.  A step with
+    an unknown op raises ValueError; a known op with missing or ill-shaped
+    fields raises MalformedSpec naming the step's index and op.
     """
     draft = _Draft(Ledger(manifold=manifold, target_class=target_class))
-    for step in steps:
+    for k, step in enumerate(steps):
         op = step.get("op") if isinstance(step, dict) else None
-        if op == "lift":
-            draft.lift(step)
-        elif op == "destroy_torus":
-            draft.destroy(step["torus"], step["lambda"])
-        elif op == "wada5":
-            draft.wada5(step["orbit"], step["q"])
-        elif op == "reverse_link":
-            draft.reverse(step["link"])
-        elif op == "homotopy_adjust":
-            draft.adjust()
-        else:
+        if not isinstance(op, str) or op not in _REPLAY:
             raise ValueError(f"unknown step {step!r}")
+        try:
+            _REPLAY[op](draft, step)
+        except KeyError as exc:
+            raise MalformedSpec(f"step {k} ({op}) has no field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise MalformedSpec(f"step {k} ({op}) is malformed: {exc}") from None
     return draft.freeze()

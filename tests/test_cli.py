@@ -8,11 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import msflow
 from msflow import cli
+from msflow.homology import graph_presentation
 from msflow.manifolds import GraphManifold, Gluing, SeifertPiece
-from msflow.selftest import _random_fibers, _random_unimodular
+from msflow.selftest import _random_fibers, _random_unimodular, random_graph_manifold
 
 SWAP = ((0, 1), (1, 0))
 
@@ -295,3 +297,60 @@ def test_non_list_json_is_an_input_error(tmp_path, capsys, graph, class_doc):
     code = cli.main(argv)
     assert code == 1
     assert set(json.loads(capsys.readouterr().out)) == {"error"}
+
+
+def write_cycle_graph(tmp_path):
+    """Two pieces glued along two edges: one independent cycle."""
+    pieces = (SeifertPiece(0, 2, ()), SeifertPiece(0, 2, ()))
+    edges = (Gluing(0, 0, 1, 0, SWAP), Gluing(0, 1, 1, 1, SWAP))
+    return write_graph(tmp_path, pieces=pieces, edges=edges)
+
+
+@pytest.mark.parametrize("command", ["plan", "homology"])
+@pytest.mark.parametrize("cycles", [[0.9], ["0"], [True], [None]], ids=["float", "str", "bool", "null"])
+def test_cycle_coordinates_must_be_integers(tmp_path, capsys, command, cycles):
+    """Cycle coordinates follow the rule of piece coefficients: no coercion."""
+    spec = json.dumps({"pieces": [dict(CLASS, tau=[2])] * 2, "cycles": cycles})
+    code = cli.main([command, "graph", str(write_cycle_graph(tmp_path)), "--class", spec])
+    assert code == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert "cycle coordinate 0 must be an integer" in error
+
+
+class TestPlanBuildsOnlyWhatItReturns:
+    def test_plan_graph_builds_no_presentation(self, tmp_path):
+        path = write_cycle_graph(tmp_path)
+        graph_presentation.cache_clear()
+        for spec in ("max", json.dumps({"pieces": [dict(CLASS, tau=[2])] * 2, "cycles": [0]})):
+            assert cli.run(["plan", "graph", str(path), "--class", spec]).exit_code == 0
+        info = graph_presentation.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    @given(seed=st.integers(min_value=0, max_value=2_000))
+    @example(seed=1)  # a graph with a self-gluing
+    @settings(max_examples=60, deadline=None)
+    def test_cycle_rank_is_the_presentation_rank(self, seed):
+        g = random_graph_manifold(random.Random(seed))
+        _c, cycles = cli._parse_class(g, "max")
+        assert cycles == (0,) * len(graph_presentation(g).nontree_edges)
+
+    def test_one_piece_self_gluing_has_one_cycle(self):
+        g = GraphManifold((SeifertPiece(0, 2, ()),), (Gluing(0, 0, 0, 1, ((1, 0), (0, -1))),))
+        assert cli._parse_class(g, "max")[1] == (0,)
+        assert len(graph_presentation(g).nontree_edges) == 1
+
+    def test_graph_out_file_is_what_main_prints(self, tmp_path, capsys):
+        target = tmp_path / "ledger.json"
+        argv = ["plan", "graph", str(write_cycle_graph(tmp_path)), "--class", "max"]
+        assert cli.main(argv + ["--out", str(target)]) == 0
+        printed = capsys.readouterr().out.encode()
+        assert target.read_bytes() == printed
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode() == printed
+
+    def test_failed_bound_check_writes_no_out_file(self, tmp_path):
+        target = tmp_path / "ledger.json"
+        out = cli.run(["plan", "seifert", "--genus", "0", "--euler", "1", "--fibers", "2/1",
+                       "--class", "max", "--out", str(target)])
+        assert out.exit_code == 2
+        assert not target.exists()

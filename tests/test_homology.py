@@ -265,21 +265,21 @@ class TestGraphHomology:
     def test_two_solid_tori_swap_is_sphere(self):
         g = GraphManifold((SeifertPiece(0, 1, ()), SeifertPiece(0, 1, ())),
                           (Gluing(0, 0, 1, 0, SWAP),))
-        group, projection = graph_h1(g)
+        group = graph_h1(g)
         assert group.is_trivial()
-        assert projection.rows == 0
+        assert len(graph_presentation(g).nontree_edges) == 0
 
     def test_torus_bundle_rank_three(self):
         g = GraphManifold((SeifertPiece(0, 2, ()),),
                           (Gluing(0, 0, 0, 1, ((1, 0), (0, -1))),))
-        group, projection = graph_h1(g)
+        group = graph_h1(g)
         assert group.describe() == "Z^3"
-        assert projection.rows == 1
+        assert len(graph_presentation(g).nontree_edges) == 1
 
     def test_orientation_flip_gives_torsion(self):
         g = GraphManifold((SeifertPiece(0, 2, ()),),
                           (Gluing(0, 0, 0, 1, ((1, 0), (0, 1))),))
-        group, _ = graph_h1(g)
+        group = graph_h1(g)
         assert group.free_rank == 2 and group.invariant_factors == (2,)
 
     def test_generators_carry_piece_prefixes(self):
@@ -323,7 +323,7 @@ class TestAdmissibility:
                 tuple(rng.randint(-4, 4) for _ in range(p.n + 1)),
                 tuple(rng.randint(-4, 4) for _ in range(p.boundary - 1)))
             for p in g.pieces)
-        rank = graph_presentation(g).cycle_projection.rows
+        rank = len(graph_presentation(g).nontree_edges)
         assert class_is_admissible(g, graph_class_vector(g, exprs, (0,) * rank))
 
 

@@ -469,3 +469,21 @@ class TestLedgerJson:
         doc = plan_graph(g, maximal_class(g)).to_json()
         assert doc["d2"]["reference_offsets"] == ["e_1", "e_2"]
         assert len(doc["d2"]["pieces"]) == 2
+
+
+GOOD_LIFT = {"op": "lift", "fibers": [["gamma0", "attracting", {"lambda": [], "alpha": [1]}]],
+             "saddles": [], "tori": []}
+
+
+@pytest.mark.parametrize("step", [
+    {"op": "destroy_torus"},
+    {"op": "lift"},
+    {"op": "wada5", "orbit": "gamma1"},
+    {"op": "reverse_link"},
+    dict(GOOD_LIFT, fibers=[["gamma1", "attracting"]]),
+    dict(GOOD_LIFT, fibers=5),
+], ids=["destroy-no-fields", "lift-no-fields", "wada5-no-q", "reverse-no-link",
+        "lift-entry-arity", "lift-fibers-scalar"])
+def test_malformed_step_names_its_index_and_op(step):
+    with pytest.raises(MalformedSpec, match=rf"^step 1 \({step['op']}\)"):
+        replay((GOOD_LIFT, step))
