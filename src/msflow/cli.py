@@ -204,8 +204,8 @@ def _tolerance() -> float:
         tol = float(raw)
     except ValueError:
         raise _UsageError(f"MSFLOW_TOL={raw!r} is not a number") from None
-    if tol <= 0:
-        raise _UsageError("MSFLOW_TOL must be positive")
+    if not 0 < tol < float("inf"):  # also false for nan, so nan is rejected too
+        raise _UsageError(f"MSFLOW_TOL={raw!r} must be positive and finite")
     return tol
 
 

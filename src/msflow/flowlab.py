@@ -8,10 +8,16 @@ torus with one-period factor exp(2*pi*(lambda^2 + 1)), far too stiff to
 close up under forward float integration, so it is traced backward in
 time (where it attracts); Floquet signs are always measured forward.
 
+Both orbits and the perturbed starts that give their Floquet signs are
+integrated as one RK4 batch per model, the backward row under a per-row
+sign of the field.
+
 Curves on the flat unit torus are stored as lifted polylines whose
 endpoint difference is the integer homology class.  Intersection tests
 translate candidate segments into a common fundamental domain, so they
-are exact up to float arithmetic, not up to wrapping artifacts.
+are exact up to float arithmetic, not up to wrapping artifacts.  Segments
+are bucketed by midpoint, and the candidate pairs of neighbouring buckets
+are evaluated as arrays rather than one pair at a time.
 """
 
 from __future__ import annotations
@@ -123,16 +129,19 @@ def round_handle_field(stability: str = "attracting") -> RoundHandleField:
     return RoundHandleField(stability)
 
 
-class _Reversed:
-    """Time reversal of a chart field; same chart, negated values."""
+class _RowSigned:
+    """A chart field scaled by +1.0 or -1.0 per row of a batch of points; a
+    -1.0 row is integrated backward in time.  The sign is exact, so each row
+    follows the same floats as a run of the field or its negation alone."""
 
-    def __init__(self, field) -> None:
+    def __init__(self, field, signs) -> None:
         self.field = field
+        self.signs = np.asarray(signs, dtype=float)[:, None]
         self.dim = field.dim
         self.circle_mask = field.circle_mask
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return -self.field(points)
+        return self.signs * self.field(points)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +217,9 @@ def rk4_integrate(field, x0, dt: float, T: float) -> Trajectory:
 # ---------------------------------------------------------------------------
 # Orbit detection for the torus-destruction model
 
+_ORBIT_B = (0.25, 0.75)
+
+
 def detect_torus_orbits(field: TorusChartField, dt: float = DT_DEFAULT,
                         tol: float = CLOSURE_TOL):
     """Locate the two periodic orbits of the model and their Floquet signs.
@@ -219,7 +231,9 @@ def detect_torus_orbits(field: TorusChartField, dt: float = DT_DEFAULT,
     docstring.  Each orbit is traced in the direction where it attracts, at
     the in-torus rate 2*pi*(lam^2 + 1); a step outside RK4's stability
     interval for that rate raises StepTooLarge before any integration, since
-    the numerics could not tell a closed orbit from a missed one.
+    the numerics could not tell a closed orbit from a missed one.  Both
+    orbits and their four perturbed starts are one RK4 batch, and each
+    returned trajectory is its orbit's column of that batch.
     """
     rate = 2.0 * math.pi * (field.lam ** 2 + 1)
     if rate * dt > RK4_STABILITY:
@@ -228,25 +242,28 @@ def detect_torus_orbits(field: TorusChartField, dt: float = DT_DEFAULT,
             f"lambda={field.lam} is too stiff for RK4 step dt={dt:g}: its in-torus rate "
             f"{rate:.4g} needs a step of at most {RK4_STABILITY / rate:.3e} "
             f"(at dt={dt:g}, |lambda| <= {largest_lam} resolves)")
-    results = []
     eps = 1e-4
-    for b_star, forward in ((0.25, True), (0.75, False)):
+    starts = []
+    for b_star in _ORBIT_B:
         x0 = np.array([(-b_star) % 1.0, 0.0, 0.0])
-        traj = rk4_integrate(field if forward else _Reversed(field), x0, dt, 1.0)
-        err = wrapped_distance(traj.end, traj.start, field.circle_mask)
+        # b = lam*z - t, so shifting t by -eps shifts b by +eps
+        starts += [x0, x0 + np.array([-eps, 0.0, 0.0]), x0 + np.array([0.0, eps, 0.0])]
+    # one batch: each orbit start, then its b- and x-perturbations; only the
+    # b = 3/4 orbit row runs backward
+    batch = rk4_integrate(_RowSigned(field, (1.0, 1.0, 1.0, -1.0, 1.0, 1.0)),
+                          np.array(starts), dt, 1.0)
+    results = []
+    for k, b_star in enumerate(_ORBIT_B):
+        orbit, perturbed_b, perturbed_x = (batch.points[:, 3 * k + m] for m in range(3))
+        err = wrapped_distance(orbit[-1], orbit[0], field.circle_mask)
         if err > tol:
             raise OrbitNotClosed(
                 f"orbit at b={b_star} failed to close: error {err:.3e} exceeds {tol:.1e}")
-
-        # b = lam*z - t, so shifting t by -eps shifts b by +eps
-        perturbed_b = rk4_integrate(field, x0 + np.array([-eps, 0.0, 0.0]), dt, 1.0)
-        b_end = (field.lam * perturbed_b.end[2] - perturbed_b.end[0]) % 1.0
+        b_end = (field.lam * perturbed_b[-1, 2] - perturbed_b[-1, 0]) % 1.0
         after_b = abs((b_end - b_star + 0.5) % 1.0 - 0.5)
         sign_b = 1 if after_b > eps else -1
-
-        perturbed_x = rk4_integrate(field, x0 + np.array([0.0, eps, 0.0]), dt, 1.0)
-        sign_x = 1 if abs(perturbed_x.end[1]) > eps else -1
-        results.append((traj, (sign_b, sign_x)))
+        sign_x = 1 if abs(perturbed_x[-1, 1]) > eps else -1
+        results.append((Trajectory(batch.times, orbit, dt), (sign_b, sign_x)))
     return results
 
 
@@ -267,6 +284,8 @@ class TorusCurve:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError("a curve needs an (N+1, 2) array of lifted points")
+        if not np.isfinite(pts).all():
+            raise ValueError("curve points must be finite")
         gap = pts[-1] - pts[0]
         if np.max(np.abs(gap - np.round(gap))) > 1e-9:
             raise OrbitNotClosed(f"curve endpoints differ by non-integer vector {gap}")
@@ -301,16 +320,114 @@ class TorusCurve:
         return TorusCurve(self.points + np.asarray(vec, dtype=float))
 
 
-def _segment_data(curve: TorusCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # wrapped segment starts, raw deltas, wrapped midpoints
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # rowwise a[k] @ b[k]; matmul rounds like the 1-D dot of a single pair
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _segment_data(curve: TorusCurve) -> tuple[np.ndarray, ...]:
+    # wrapped segment starts, raw deltas, wrapped midpoints, lengths
     starts = curve.points[:-1] % 1.0
     deltas = curve.points[1:] - curve.points[:-1]
     mids = (starts + 0.5 * deltas) % 1.0
-    return starts, deltas, mids
+    return starts, deltas, mids, np.sqrt(_dot(deltas, deltas))
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+_CELLS = 64  # midpoint buckets per circle; pairs in touching buckets are candidates
+_NEIGHBOURS = tuple((ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1))
+_PAIR_CHUNK = 1 << 15  # candidate pairs evaluated per array pass, bounding memory
+_MERGE_TOL = 1e-7
+
+
+def _cells(mids: np.ndarray) -> np.ndarray:
+    return np.floor(mids * _CELLS).astype(np.int64) % _CELLS
+
+
+def _candidate_pairs(m1: np.ndarray, m2: np.ndarray):
+    """Yield (i, j) index arrays of the segment pairs whose midpoints lie in
+    neighbouring cells, in chunks of about _PAIR_CHUNK pairs."""
+    k2 = _cells(m2)
+    cell2 = k2[:, 0] * _CELLS + k2[:, 1]
+    by_cell = np.argsort(cell2, kind="stable")
+    counts = np.bincount(cell2, minlength=_CELLS * _CELLS)
+    first = np.cumsum(counts) - counts
+    k1 = _cells(m1)[:, None, :] + _NEIGHBOURS
+    near = (k1[..., 0] % _CELLS) * _CELLS + k1[..., 1] % _CELLS  # (len(m1), 9) cell ids
+    per_row = counts[near].sum(axis=1)
+    cuts = np.searchsorted(np.cumsum(per_row),
+                           np.arange(_PAIR_CHUNK, per_row.sum(), _PAIR_CHUNK), side="right")
+    for rows in np.split(np.arange(len(m1)), cuts):
+        cells = near[rows].ravel()
+        n = counts[cells]
+        total = int(n.sum())
+        if total == 0:
+            continue
+        i = np.repeat(np.repeat(rows, len(_NEIGHBOURS)), n)
+        slot = np.repeat(first[cells] - (np.cumsum(n) - n), n) + np.arange(total)
+        yield i, by_cell[slot]
+
+
+def _pair_crossings(i, j, seg1, seg2):
+    """Crossing points and |sine of the crossing angle| of the candidate
+    pairs (i, j), each segment j translated by the integer vector that
+    brings it next to segment i.  Raises DegenerateOverlap if any pair is
+    collinear with an overlap of positive length."""
+    s1, d1, m1, n1 = seg1
+    s2, d2, m2, n2 = seg2
+    p, r, w = s1[i], d1[i], d2[j]
+    qp = s2[j] + np.round(m1[i] - m2[j]) - p
+    rw = _cross(r, w)
+    scale = n1[i] * n2[j]
+    parallel = np.abs(rw) <= 1e-12 * scale
+    line = np.flatnonzero(parallel & (scale != 0.0))
+    line = line[np.abs(_cross(qp[line], r[line])) <= 1e-9 * np.maximum(n1[i[line]], 1.0)]
+    if len(line):  # parallel pairs on one line: do they overlap?
+        rr = _dot(r[line], r[line])
+        t0 = _dot(qp[line], r[line]) / rr
+        t1 = t0 + _dot(w[line], r[line]) / rr
+        lo, hi = np.minimum(t0, t1), np.maximum(t0, t1)
+        if np.any(np.minimum(hi, 1.0) - np.maximum(lo, 0.0) > 1e-9):
+            raise DegenerateOverlap("curves share a positive-length segment")
+    keep = ~parallel & (scale != 0.0)
+    p, r, w, qp, rw, scale = p[keep], r[keep], w[keep], qp[keep], rw[keep], scale[keep]
+    s = _cross(qp, w) / rw
+    u = _cross(qp, r) / rw
+    eps = 1e-9
+    hit = (-eps <= s) & (s <= 1 + eps) & (-eps <= u) & (u <= 1 + eps)
+    points = (p[hit] + s[hit, None] * r[hit]) % 1.0
+    return points, np.abs(rw[hit]) / scale[hit]
+
+
+def _merge_crossings(points: np.ndarray, sines: np.ndarray) -> list[list[float]]:
+    """One [x, y, sine] per crossing, in (x, y) order.
+
+    Points are taken in sorted order; each joins the earliest kept point
+    within _MERGE_TOL in both coordinates (with wrap) and lowers its sine to
+    the smaller one, or is kept itself.  Kept points are hashed by their
+    _MERGE_TOL grid cell, so only the 3 x 3 cells around a point are searched.
+    """
+    grid = round(1.0 / _MERGE_TOL)
+    kept: list[list[float]] = []
+    by_cell: dict[tuple[int, int], list[int]] = {}
+    order = np.lexsort((sines, points[:, 1], points[:, 0]))
+    for x, y, sine in zip(points[order, 0].tolist(), points[order, 1].tolist(),
+                          sines[order].tolist()):
+        cx, cy = int(x * grid), int(y * grid)
+        near = [k for ox, oy in _NEIGHBOURS
+                for k in by_cell.get(((cx + ox) % grid, (cy + oy) % grid), ())
+                if abs((x - kept[k][0] + 0.5) % 1.0 - 0.5) <= _MERGE_TOL
+                and abs((y - kept[k][1] + 0.5) % 1.0 - 0.5) <= _MERGE_TOL]
+        if near:
+            entry = kept[min(near)]
+            entry[2] = min(entry[2], sine)
+        else:
+            by_cell.setdefault((cx % grid, cy % grid), []).append(len(kept))
+            kept.append([x, y, sine])
+    return kept  # already sorted: each kept point is the first of its crossing
 
 
 def curve_intersections(c1: TorusCurve, c2: TorusCurve, tol: float = CROSS_TOL):
@@ -319,61 +436,17 @@ def curve_intersections(c1: TorusCurve, c2: TorusCurve, tol: float = CROSS_TOL):
     Each reported point is in [0, 1)^2; the flag is True iff the sine of the
     crossing angle exceeds `tol`.  A pair of collinear overlapping segments
     raises DegenerateOverlap since no crossing angle exists there.
+
+    Segments are bucketed by midpoint on a 64 x 64 grid; the candidate
+    pairs from neighbouring buckets are evaluated as arrays, a chunk at a
+    time, and duplicate crossings (a crossing at a shared vertex is found by
+    both segments) are merged by _merge_crossings.
     """
-    s1, d1, m1 = _segment_data(c1)
-    s2, d2, m2 = _segment_data(c2)
-    cells = 64
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for j, mid in enumerate(m2):
-        buckets.setdefault((int(mid[0] * cells) % cells, int(mid[1] * cells) % cells), []).append(j)
-
-    eps = 1e-9
-    found: list[tuple[float, float, float]] = []  # (x, y, |unit cross|)
-    for i in range(len(s1)):
-        cx, cy = int(m1[i][0] * cells) % cells, int(m1[i][1] * cells) % cells
-        candidates: list[int] = []
-        for ox in (-1, 0, 1):
-            for oy in (-1, 0, 1):
-                candidates += buckets.get(((cx + ox) % cells, (cy + oy) % cells), [])
-        if not candidates:
-            continue
-        p, r = s1[i], d1[i]
-        for j in candidates:
-            # integer translate bringing segment j next to segment i
-            q, w = s2[j] + np.round(m1[i] - m2[j]), d2[j]
-            rw = _cross(r, w)
-            qp = q - p
-            scale = np.linalg.norm(r) * np.linalg.norm(w)
-            if scale == 0.0:
-                continue
-            if abs(rw) <= 1e-12 * scale:
-                # parallel; collinear overlap of positive length is degenerate
-                if abs(_cross(qp, r)) <= 1e-9 * max(np.linalg.norm(r), 1.0):
-                    rr = float(r @ r)
-                    t0 = float(qp @ r) / rr
-                    t1 = t0 + float(w @ r) / rr
-                    lo, hi = min(t0, t1), max(t0, t1)
-                    if min(hi, 1.0) - max(lo, 0.0) > 1e-9:
-                        raise DegenerateOverlap("curves share a positive-length segment")
-                continue
-            s = _cross(qp, w) / rw
-            u = _cross(qp, r) / rw
-            if -eps <= s <= 1 + eps and -eps <= u <= 1 + eps:
-                pt = (p + s * r) % 1.0
-                found.append((float(pt[0]), float(pt[1]), abs(rw) / scale))
-
-    merged: list[list[float]] = []
-    for x, y, cr in sorted(found):
-        for entry in merged:
-            dx = (x - entry[0] + 0.5) % 1.0 - 0.5
-            dy = (y - entry[1] + 0.5) % 1.0 - 0.5
-            if abs(dx) <= 1e-7 and abs(dy) <= 1e-7:
-                entry[2] = min(entry[2], cr)
-                break
-        else:
-            merged.append([x, y, cr])
-    merged.sort(key=lambda e: (e[0], e[1]))
-    return [(np.array([x, y]), cr > tol) for x, y, cr in merged]
+    seg1, seg2 = _segment_data(c1), _segment_data(c2)
+    found = [_pair_crossings(i, j, seg1, seg2) for i, j in _candidate_pairs(seg1[2], seg2[2])]
+    points = np.concatenate([np.empty((0, 2))] + [pts for pts, _ in found])
+    sines = np.concatenate([np.empty(0)] + [sn for _, sn in found])
+    return [(np.array([x, y]), sine > tol) for x, y, sine in _merge_crossings(points, sines)]
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +640,10 @@ def verify_torus_model(lam: int, dt: float = DT_DEFAULT, tol: float = CLOSURE_TO
     """
     field = TorusChartField(lam)
     orbits = detect_torus_orbits(field, dt, tol)
-    b_values = (0.25, 0.75)
     expected_signs = ((-1, -1), (1, -1))
     entries = []
     signs_ok = True
-    for (traj, signs), b_star, expected in zip(orbits, b_values, expected_signs):
+    for (traj, signs), b_star, expected in zip(orbits, _ORBIT_B, expected_signs):
         err = wrapped_distance(traj.end, traj.start, field.circle_mask)
         entries.append({"b": b_star, "closure_error": err, "floquet": list(signs)})
         signs_ok = signs_ok and signs == expected

@@ -34,6 +34,7 @@ from .manifolds import (
     HomologyClassExpr,
     SeifertClosed,
     SeifertPiece,
+    _require_int,
     spanning_tree,
 )
 
@@ -566,7 +567,9 @@ def graph_class_vector(
     cycles: tuple[int, ...] | None = None,
 ) -> tuple[int, ...]:
     """Assemble per-piece class expressions (and optional cycle coordinates)
-    into a vector over the graph presentation's generators."""
+    into a vector over the graph presentation's generators.  A cycle
+    coordinate that is not an int (a float, a bool, a string) raises
+    MalformedSpec instead of being coerced."""
     pres = graph_presentation(g)
     if len(per_piece) != g.l:
         raise DimensionMismatch(f"expected {g.l} per-piece classes, got {len(per_piece)}")
@@ -581,7 +584,7 @@ def graph_class_vector(
             raise DimensionMismatch(f"expected {b1} cycle coordinates, got {len(cycles)}")
         t_base = len(pres.generator_names) - b1
         for k, entry in enumerate(cycles):
-            vec[t_base + k] = int(entry)
+            vec[t_base + k] = _require_int(entry, f"cycle coordinate {k}")
     return tuple(vec)
 
 

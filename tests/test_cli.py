@@ -189,6 +189,14 @@ class TestVerify:
         out = cli.run(["verify", "torus-model", "--lambda", "2"])
         assert out.exit_code == 1
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_tolerance_rejected(self, monkeypatch, raw):
+        # err > nan and err > inf are never true, so the closure check would be off
+        monkeypatch.setenv("MSFLOW_TOL", raw)
+        out = cli.run(["verify", "torus-model", "--lambda", "3"])
+        assert out.exit_code == 1
+        assert "MSFLOW_TOL" in out.payload["error"]
+
     def test_round_handle_and_collar(self):
         assert cli.run(["verify", "round-handle"]).exit_code == 0
         assert cli.run(["verify", "collar"]).exit_code == 0

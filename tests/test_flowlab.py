@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from msflow.errors import (
     DegenerateOverlap,
@@ -19,7 +20,9 @@ from msflow.errors import (
     VanishingField,
     ZeroLambda,
 )
-from msflow import flowlab as fl
+from msflow import cli, flowlab as fl
+
+import reference_intersections
 
 
 class TestChartFields:
@@ -145,6 +148,54 @@ class TestOrbitDetection:
         assert len(orbits) == 2
 
 
+class _Negated:
+    def __init__(self, field):
+        self.field, self.dim, self.circle_mask = field, field.dim, field.circle_mask
+
+    def __call__(self, points):
+        return -self.field(points)
+
+
+def reference_detection(field, dt):
+    """The two orbits and their signs from six separate RK4 runs: each orbit
+    start (the b = 3/4 one under the negated field) and its two perturbations."""
+    eps = 1e-4
+    results = []
+    for b_star, forward in ((0.25, True), (0.75, False)):
+        x0 = np.array([(-b_star) % 1.0, 0.0, 0.0])
+        traj = fl.rk4_integrate(field if forward else _Negated(field), x0, dt, 1.0)
+        perturbed_b = fl.rk4_integrate(field, x0 + np.array([-eps, 0.0, 0.0]), dt, 1.0)
+        b_end = (field.lam * perturbed_b.end[2] - perturbed_b.end[0]) % 1.0
+        sign_b = 1 if abs((b_end - b_star + 0.5) % 1.0 - 0.5) > eps else -1
+        perturbed_x = fl.rk4_integrate(field, x0 + np.array([0.0, eps, 0.0]), dt, 1.0)
+        sign_x = 1 if abs(perturbed_x.end[1]) > eps else -1
+        results.append((traj, (sign_b, sign_x)))
+    return results
+
+
+class TestBatchedDetection:
+    """One (6, 3) RK4 batch gives the floats of six separate runs."""
+
+    @pytest.mark.parametrize("lam,dt", [(2, 1e-3), (-2, 1e-3), (3, 1e-3), (5, 1e-3), (20, 1e-3),
+                                        (21, 1e-3), (-21, 1e-3), (22, 5e-4)])
+    def test_matches_separate_runs(self, lam, dt):
+        field = fl.TorusChartField(lam)
+        batched = fl.detect_torus_orbits(field, dt=dt)
+        for (traj, signs), (ref, ref_signs) in zip(batched, reference_detection(field, dt),
+                                                   strict=True):
+            assert np.array_equal(traj.points, ref.points)
+            assert np.array_equal(traj.times, ref.times)
+            assert traj.step == ref.step and signs == ref_signs
+
+    def test_csv_dump_is_unchanged(self, tmp_path):
+        written = tmp_path / "batched.csv"
+        assert cli.run(["verify", "torus-model", "--lambda", "3",
+                        "--dump-csv", str(written)]).exit_code == 0
+        expected = tmp_path / "separate.csv"
+        cli._dump_orbits_csv(str(expected), reference_detection(fl.TorusChartField(3), 1e-3))
+        assert written.read_bytes() == expected.read_bytes()
+
+
 class TestStepStability:
     """RK4 resolves the in-torus rate 2*pi*(lam^2 + 1) only while rate * dt
     stays inside its stability interval, about 2.785."""
@@ -186,6 +237,13 @@ class TestTorusCurve:
         with pytest.raises(OrbitNotClosed):
             fl.TorusCurve.from_function(lambda s: np.stack([s * 0.5, s], axis=-1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        # a nan gap passed the integer-class check, and nan midpoints have no bucket
+        with pytest.raises(ValueError, match="finite"):
+            fl.TorusCurve.from_function(
+                lambda s: np.stack([s, np.where(s > 0.5, bad, 0.0)], axis=-1), n=512)
+
     def test_translate_keeps_class(self):
         c = fl.TorusCurve.line(1, 2).translate((0.3, -0.7))
         assert c.homology_class == (1, 2)
@@ -223,6 +281,75 @@ class TestIntersections:
         b = fl.TorusCurve.line(1, 3, n=2048)
         pts = fl.curve_intersections(a, b)
         assert len(pts) == 3 and all(t for _, t in pts)
+
+
+def _wrapped_gap(a, b):
+    return float(np.max(np.abs((a - b + 0.5) % 1.0 - 0.5)))
+
+
+@st.composite
+def _lines(draw):
+    p, q = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda v: v != (0, 0)))
+    offset = draw(st.sampled_from([0.0, 0.25, 0.5]) | st.floats(-0.5, 0.5))
+    return fl.TorusCurve.line(p, q, offset, n=draw(st.sampled_from([512, 600])))
+
+
+@st.composite
+def _tangent_pairs(draw):
+    """A horizontal line y = c and a curve touching it from one side at s = k/m,
+    optionally also crossing it (the mixed profile)."""
+    c = draw(st.floats(-0.5, 0.5))
+    a = draw(st.floats(0.02, 0.2)) * draw(st.sampled_from([1.0, -1.0]))
+    m = draw(st.integers(1, 3))
+    mixed = draw(st.booleans())
+
+    def fn(s):
+        bump = a * (1.0 - np.cos(2.0 * np.pi * m * s))
+        return np.stack([s, c + (bump * np.cos(2.0 * np.pi * s) if mixed else bump)], axis=-1)
+
+    curve = fl.TorusCurve.from_function(fn, n=draw(st.sampled_from([512, 700])))
+    # sliding along the line or by whole periods keeps the tangency
+    shift = (draw(st.floats(-1.5, 1.5)), float(draw(st.integers(-1, 1))))
+    return fl.TorusCurve.line(1, 0, c, n=draw(st.sampled_from([512, 600]))), curve.translate(shift)
+
+
+@st.composite
+def _curve_pairs(draw):
+    kind = draw(st.sampled_from(["lines", "tangent", "same line"]))
+    if kind == "tangent":
+        return draw(_tangent_pairs())
+    c1 = draw(_lines())
+    if kind == "same line":
+        # the same line in another lift: overlaps everywhere
+        return c1, c1.translate(draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2))))
+    shift = draw(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+                 | st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    return c1, draw(_lines()).translate(shift)
+
+
+def _outcome(fn, c1, c2):
+    try:
+        return fn(c1, c2)
+    except DegenerateOverlap:
+        return DegenerateOverlap
+
+
+class TestIntersectionsMatchReference:
+    """The array implementation against the per-pair loop it replaced."""
+
+    @given(pair=_curve_pairs())
+    @example(pair=(fl.TorusCurve.line(1, 0, 0.1), fl.TorusCurve.line(1, 3, n=2048)))
+    @settings(max_examples=40, deadline=None)
+    def test_same_crossings_flags_and_overlaps(self, pair):
+        got = _outcome(fl.curve_intersections, *pair)
+        want = _outcome(reference_intersections.curve_intersections, *pair)
+        if want is DegenerateOverlap or got is DegenerateOverlap:
+            assert got is want
+            return
+        assert len(got) == len(want)
+        for (point, transverse), (ref_point, ref_transverse) in zip(got, want):
+            assert transverse == ref_transverse
+            assert _wrapped_gap(point, ref_point) <= 1e-12
 
 
 class TestRepair:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msflow import homology
-from msflow.errors import DimensionMismatch
+from msflow.errors import DimensionMismatch, MalformedSpec
 from msflow.homology import (
     H1Group,
     IntMatrix,
@@ -303,6 +303,13 @@ class TestAdmissibility:
         g = self.build()
         exprs = maximal_class(g)
         assert not class_is_admissible(g, graph_class_vector(g, exprs, (1,)))
+
+    @pytest.mark.parametrize("entry", [0.9, True, "0"])
+    def test_non_integer_cycle_coordinate_rejected(self, entry):
+        # coercing with int() turned 0.9 into an admissible 0
+        g = self.build()
+        with pytest.raises(MalformedSpec, match="cycle coordinate 0 must be an integer"):
+            graph_class_vector(g, maximal_class(g), (entry,))
 
     def test_tree_graphs_admit_everything(self):
         g = GraphManifold((SeifertPiece(0, 1, ()), SeifertPiece(0, 1, ())),
