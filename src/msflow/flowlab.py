@@ -340,7 +340,6 @@ def _segment_data(curve: TorusCurve) -> tuple[np.ndarray, ...]:
 _CELLS = 64  # midpoint buckets per circle; pairs in touching buckets are candidates
 _NEIGHBOURS = tuple((ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1))
 _PAIR_CHUNK = 1 << 15  # candidate pairs evaluated per array pass, bounding memory
-_MERGE_TOL = 1e-7
 
 
 def _cells(mids: np.ndarray) -> np.ndarray:
@@ -402,34 +401,6 @@ def _pair_crossings(i, j, seg1, seg2):
     return points, np.abs(rw[hit]) / scale[hit]
 
 
-def _merge_crossings(points: np.ndarray, sines: np.ndarray) -> list[list[float]]:
-    """One [x, y, sine] per crossing, in (x, y) order.
-
-    Points are taken in sorted order; each joins the earliest kept point
-    within _MERGE_TOL in both coordinates (with wrap) and lowers its sine to
-    the smaller one, or is kept itself.  Kept points are hashed by their
-    _MERGE_TOL grid cell, so only the 3 x 3 cells around a point are searched.
-    """
-    grid = round(1.0 / _MERGE_TOL)
-    kept: list[list[float]] = []
-    by_cell: dict[tuple[int, int], list[int]] = {}
-    order = np.lexsort((sines, points[:, 1], points[:, 0]))
-    for x, y, sine in zip(points[order, 0].tolist(), points[order, 1].tolist(),
-                          sines[order].tolist()):
-        cx, cy = int(x * grid), int(y * grid)
-        near = [k for ox, oy in _NEIGHBOURS
-                for k in by_cell.get(((cx + ox) % grid, (cy + oy) % grid), ())
-                if abs((x - kept[k][0] + 0.5) % 1.0 - 0.5) <= _MERGE_TOL
-                and abs((y - kept[k][1] + 0.5) % 1.0 - 0.5) <= _MERGE_TOL]
-        if near:
-            entry = kept[min(near)]
-            entry[2] = min(entry[2], sine)
-        else:
-            by_cell.setdefault((cx % grid, cy % grid), []).append(len(kept))
-            kept.append([x, y, sine])
-    return kept  # already sorted: each kept point is the first of its crossing
-
-
 def curve_intersections(c1: TorusCurve, c2: TorusCurve, tol: float = CROSS_TOL):
     """All intersection points of two torus curves with transversality flags.
 
@@ -439,14 +410,27 @@ def curve_intersections(c1: TorusCurve, c2: TorusCurve, tol: float = CROSS_TOL):
 
     Segments are bucketed by midpoint on a 64 x 64 grid; the candidate
     pairs from neighbouring buckets are evaluated as arrays, a chunk at a
-    time, and duplicate crossings (a crossing at a shared vertex is found by
-    both segments) are merged by _merge_crossings.
+    time.  A crossing at a shared vertex is found by both segments; such
+    duplicates merge into one point that keeps the smaller sine.
     """
     seg1, seg2 = _segment_data(c1), _segment_data(c2)
-    found = [_pair_crossings(i, j, seg1, seg2) for i, j in _candidate_pairs(seg1[2], seg2[2])]
-    points = np.concatenate([np.empty((0, 2))] + [pts for pts, _ in found])
-    sines = np.concatenate([np.empty(0)] + [sn for _, sn in found])
-    return [(np.array([x, y]), sine > tol) for x, y, sine in _merge_crossings(points, sines)]
+    found: list[tuple[float, float, float]] = []  # (x, y, |unit cross|)
+    for i, j in _candidate_pairs(seg1[2], seg2[2]):
+        points, sines = _pair_crossings(i, j, seg1, seg2)
+        found += zip(points[:, 0].tolist(), points[:, 1].tolist(), sines.tolist())
+
+    merged: list[list[float]] = []
+    for x, y, cr in sorted(found):
+        for entry in merged:
+            dx = (x - entry[0] + 0.5) % 1.0 - 0.5
+            dy = (y - entry[1] + 0.5) % 1.0 - 0.5
+            if abs(dx) <= 1e-7 and abs(dy) <= 1e-7:
+                entry[2] = min(entry[2], cr)
+                break
+        else:
+            merged.append([x, y, cr])
+    merged.sort(key=lambda e: (e[0], e[1]))
+    return [(np.array([x, y]), cr > tol) for x, y, cr in merged]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ def _cross(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def curve_intersections(c1, c2, tol: float = CROSS_TOL):
+def merged_crossings(c1, c2):
+    """One [x, y, |unit cross|] per crossing, duplicates keeping the smaller sine."""
     s1, d1, m1 = _segment_data(c1.points)
     s2, d2, m2 = _segment_data(c2.points)
     cells = 64
@@ -77,4 +78,8 @@ def curve_intersections(c1, c2, tol: float = CROSS_TOL):
         else:
             merged.append([x, y, cr])
     merged.sort(key=lambda e: (e[0], e[1]))
-    return [(np.array([x, y]), cr > tol) for x, y, cr in merged]
+    return merged
+
+
+def curve_intersections(c1, c2, tol: float = CROSS_TOL):
+    return [(np.array([x, y]), cr > tol) for x, y, cr in merged_crossings(c1, c2)]

@@ -313,11 +313,37 @@ def _tangent_pairs(draw):
     return fl.TorusCurve.line(1, 0, c, n=draw(st.sampled_from([512, 600]))), curve.translate(shift)
 
 
+def _corner_pair(c, s0, k1, k2, n=512, transpose=False):
+    """A horizontal line y = c and a closed curve of class (1, 0) crossing it
+    at the sample vertex s0 = j/n, with slope k1 before the vertex and k2
+    after it: both segments at the vertex find the crossing, with different
+    sines.  At s0 = 0 the two copies can land on either side of the seam;
+    `transpose` swaps the coordinates, moving that seam from x to y."""
+    knots = [s0 - 0.25, s0, s0 + 0.25, s0 + 0.75]
+    heights = [-0.25 * k1, 0.0, 0.25 * k2, -0.25 * k1]
+
+    def fn(s):
+        return np.stack([s, c + np.interp(s, knots, heights, period=1.0)], axis=-1)
+
+    pair = fl.TorusCurve.line(1, 0, c, n=n), fl.TorusCurve.from_function(fn, n=n)
+    return tuple(fl.TorusCurve(curve.points[:, ::-1]) for curve in pair) if transpose else pair
+
+
+@st.composite
+def _corner_pairs(draw):
+    n = draw(st.sampled_from([512, 700]))
+    return _corner_pair(draw(st.floats(-0.5, 0.5)), draw(st.integers(0, n - 1)) / n,
+                        draw(st.floats(0.01, 0.09)), draw(st.floats(0.6, 4.0)), n,
+                        draw(st.booleans()))
+
+
 @st.composite
 def _curve_pairs(draw):
-    kind = draw(st.sampled_from(["lines", "tangent", "same line"]))
+    kind = draw(st.sampled_from(["lines", "tangent", "corner", "same line"]))
     if kind == "tangent":
         return draw(_tangent_pairs())
+    if kind == "corner":
+        return draw(_corner_pairs())
     c1 = draw(_lines())
     if kind == "same line":
         # the same line in another lift: overlaps everywhere
@@ -334,22 +360,40 @@ def _outcome(fn, c1, c2):
         return DegenerateOverlap
 
 
+# a sine threshold between the two sines of a corner crossing tells whether
+# the merge kept the smaller one
+_FLAG_TOLS = (1e-3, 1e-2, 0.1, 0.5)
+
+
 class TestIntersectionsMatchReference:
     """The array implementation against the per-pair loop it replaced."""
 
     @given(pair=_curve_pairs())
     @example(pair=(fl.TorusCurve.line(1, 0, 0.1), fl.TorusCurve.line(1, 3, n=2048)))
+    @example(pair=_corner_pair(0.2, 0.5, 0.05, 1.5))
+    @example(pair=_corner_pair(-0.3, 0.0, 0.05, 1.5))
+    @example(pair=_corner_pair(-0.3, 0.0, 0.05, 1.5, transpose=True))
     @settings(max_examples=40, deadline=None)
     def test_same_crossings_flags_and_overlaps(self, pair):
-        got = _outcome(fl.curve_intersections, *pair)
-        want = _outcome(reference_intersections.curve_intersections, *pair)
-        if want is DegenerateOverlap or got is DegenerateOverlap:
-            assert got is want
-            return
-        assert len(got) == len(want)
-        for (point, transverse), (ref_point, ref_transverse) in zip(got, want):
-            assert transverse == ref_transverse
-            assert _wrapped_gap(point, ref_point) <= 1e-12
+        want = _outcome(reference_intersections.merged_crossings, *pair)
+        for tol in _FLAG_TOLS:
+            got = _outcome(lambda c1, c2: fl.curve_intersections(c1, c2, tol), *pair)
+            if want is DegenerateOverlap or got is DegenerateOverlap:
+                assert got is want
+                return
+            assert len(got) == len(want)
+            for (point, transverse), (x, y, sine) in zip(got, want):
+                assert transverse == (sine > tol)
+                assert _wrapped_gap(point, np.array([x, y])) <= 1e-12
+
+    def test_corner_crossing_keeps_smaller_sine(self):
+        line, corner = _corner_pair(0.2, 0.5, 0.05, 1.5)
+        # the return leg crosses at x ~ 0.234 (sine ~ 0.61); the corner at
+        # x = 0.5 has sines 0.05 and ~ 0.83 and must keep 0.05
+        at_tol = {tol: [t for _, t in fl.curve_intersections(line, corner, tol)]
+                  for tol in _FLAG_TOLS}
+        assert at_tol == {1e-3: [True, True], 1e-2: [True, True],
+                          0.1: [True, False], 0.5: [True, False]}
 
 
 class TestRepair:
