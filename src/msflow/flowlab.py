@@ -22,6 +22,7 @@ are evaluated as arrays rather than one pair at a time.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -88,8 +89,9 @@ class TorusChartField:
         t, x, z = points[..., 0], points[..., 1], points[..., 2]
         lam = self.lam
         rho = self.bump(x)
-        f = (1.0 - rho) + rho * (lam + 1) / (lam * lam + 1)
-        g = (1.0 - rho) * np.cos(2.0 * np.pi * (lam * z - t)) + rho * (lam - 1) / (lam * lam + 1)
+        flat = 1.0 - rho
+        f = flat + rho * (lam + 1) / (lam * lam + 1)
+        g = flat * np.cos(2.0 * np.pi * (lam * z - t)) + rho * (lam - 1) / (lam * lam + 1)
         return f, g + self.g_shift
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -165,12 +167,6 @@ class Trajectory:
         return self.points[-1]
 
 
-def _wrap(points: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    out = np.array(points, dtype=float)
-    out[..., mask] %= 1.0
-    return out
-
-
 def wrapped_delta(a: np.ndarray, b: np.ndarray, circle_mask) -> np.ndarray:
     """Componentwise a - b with circle coordinates reduced to [-1/2, 1/2)."""
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
@@ -186,31 +182,39 @@ def wrapped_distance(a: np.ndarray, b: np.ndarray, circle_mask) -> float:
 def rk4_integrate(field, x0, dt: float, T: float) -> Trajectory:
     """Classical Runge-Kutta 4 with circle coordinates wrapped each step.
 
-    The step count is round(T / dt), so T is honored to the nearest step.
-    Field evaluations are not wrapped mid-step; all chart fields here are
-    periodic in their circle coordinates, which keeps stages smooth across
-    the seam.
+    dt and T must be finite with 0 < dt <= T.  The step count is
+    round(T / dt), so T is honored to the nearest step.  Field evaluations
+    are not wrapped mid-step; all chart fields here are periodic in their
+    circle coordinates, which keeps stages smooth across the seam.
+
+    Each step is written straight into the preallocated trajectory.  A
+    non-finite coordinate stays non-finite under x + step and the wrap, so
+    finiteness is checked once, on the final state; only then is the first
+    non-finite state searched for, and NonFinite names the step that led
+    to it (step 0 for a non-finite start).
     """
-    if not (dt > 0 and T > 0 and dt <= T):
-        raise ValueError("need 0 < dt <= T")
+    if not 0 < dt <= T < math.inf:  # also false for nan
+        raise ValueError("need 0 < dt <= T, both finite")
     mask = np.asarray(field.circle_mask)
     x = np.asarray(x0, dtype=float)
     if x.shape[-1] != field.dim:
         raise ValueError(f"points of dimension {x.shape[-1]} in a {field.dim}-dimensional chart")
-    x = _wrap(x, mask)
     n = max(1, int(round(T / dt)))
     points = np.empty((n + 1,) + x.shape, dtype=float)
     points[0] = x
+    np.remainder(points[0], 1.0, out=points[0], where=mask)
+    half, sixth = 0.5 * dt, dt / 6.0
     for i in range(n):
+        x, nxt = points[i], points[i + 1]
         k1 = field(x)
-        k2 = field(x + 0.5 * dt * k1)
-        k3 = field(x + 0.5 * dt * k2)
+        k2 = field(x + half * k1)
+        k3 = field(x + half * k2)
         k4 = field(x + dt * k3)
-        step = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(step).all():
-            raise NonFinite(f"field evaluation produced a non-finite value near step {i}")
-        x = _wrap(x + step, mask)
-        points[i + 1] = x
+        np.add(x, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=nxt)
+        np.remainder(nxt, 1.0, out=nxt, where=mask)
+    if not np.isfinite(points[-1]).all():
+        first = bisect.bisect_left(range(n + 1), True, key=lambda k: not np.isfinite(points[k]).all())
+        raise NonFinite(f"field evaluation produced a non-finite value near step {max(first - 1, 0)}")
     return Trajectory(times=np.arange(n + 1) * dt, points=points, step=dt)
 
 
@@ -235,7 +239,10 @@ def detect_torus_orbits(field: TorusChartField, dt: float = DT_DEFAULT,
     orbits and their four perturbed starts are one RK4 batch, and each
     returned trajectory is its orbit's column of that batch.
     """
-    rate = 2.0 * math.pi * (field.lam ** 2 + 1)
+    try:
+        rate = 2.0 * math.pi * (field.lam ** 2 + 1)
+    except OverflowError:  # lam^2 + 1 beyond the float range: past every step's bound
+        rate = math.inf
     if rate * dt > RK4_STABILITY:
         largest_lam = math.isqrt(max(0, math.floor(RK4_STABILITY / (2.0 * math.pi * dt) - 1)))
         raise StepTooLarge(
@@ -568,6 +575,10 @@ def collar_reference_field(f_profile: Callable | None = None,
     field is (g, f, 0), which must never vanish on a grid_side^3 sample grid
     of the collar and equals (1, 0, 0) at the boundary r = 0.  Returns
     (field, report).
+
+    The field reads only r, so it is evaluated once per r sample of the
+    grid's axis linspace(0, 1, grid_side); those samples take every value
+    the field has on the whole grid_side^3 grid.
     """
     f = f_profile if f_profile is not None else (lambda r: smoothstep(r))
     g = g_profile if g_profile is not None else (lambda r: 1.0 - smoothstep(r))
@@ -585,13 +596,11 @@ def collar_reference_field(f_profile: Callable | None = None,
 
     field = CollarField(f, g)
     axis = np.linspace(0.0, 1.0, grid_side)
-    r, th1, th2 = np.meshgrid(axis, axis, axis, indexing="ij")
-    values = field(np.stack([r, th1, th2], axis=-1))
-    norms = np.max(np.abs(values), axis=-1)
+    zeros = np.zeros_like(axis)
+    norms = np.max(np.abs(field(np.stack([axis, zeros, zeros], axis=-1))), axis=-1)
     min_norm = float(norms.min())
     if min_norm <= 0.0:
-        where = np.unravel_index(int(norms.argmin()), norms.shape)
-        raise VanishingField(f"field vanishes near r = {axis[where[0]]:.4f}")
+        raise VanishingField(f"field vanishes near r = {axis[int(norms.argmin())]:.4f}")
     at_zero = field(np.array([0.0, 0.0, 0.0]))
     report = {
         "model": "collar",
@@ -605,12 +614,18 @@ def collar_reference_field(f_profile: Callable | None = None,
 # ---------------------------------------------------------------------------
 # Verification reports
 
-def boundary_max_error(field: TorusChartField, n_points: int = 100, rng=None) -> float:
-    """Largest deviation of the field from (1, -x, 1) over random boundary points."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    t = rng.random(n_points)
-    z = rng.random(n_points)
-    x = np.where(np.arange(n_points) % 2 == 0, 1.0, -1.0)
+def boundary_max_error(field: TorusChartField, n_points: int = 100) -> float:
+    """Largest deviation of the field from (1, -x, 1) over boundary points.
+
+    The points lie on an evenly spaced (t, z) grid with x alternating
+    between +1 and -1.  With the default bump, bump(+-1) is exactly 1.0,
+    so the field is constant on each boundary torus and any fixed points
+    give the same maximum.
+    """
+    side = math.isqrt(n_points - 1) + 1  # ceil(sqrt(n_points))
+    k = np.arange(n_points)
+    t, z = (k // side) / side, (k % side) / side
+    x = np.where(k % 2 == 0, 1.0, -1.0)
     pts = np.stack([t, x, z], axis=-1)
     target = np.stack([np.ones(n_points), -x, np.ones(n_points)], axis=-1)
     return float(np.max(np.abs(field(pts) - target)))

@@ -75,8 +75,19 @@ def test_criterion_08_transversality_repair():
 
 def test_criterion_09_round_handle_and_collar():
     """|x(10)| < 1e-4 |x(0)| for the round handle; collar field nonvanishing
-    on the 64^3 grid and equal to (1,0,0) at r = 0; < 5 s."""
+    on the 64^3 grid (sampled along its r axis, all the field reads) and
+    equal to (1,0,0) at r = 0; < 5 s."""
     run(9, 5.0)
+
+
+def test_criterion_09_bounds_x10_from_the_round_handle_report(monkeypatch):
+    """Criterion 9 takes its |x(10)| bound, decay_error + 0.5*exp(-10), from
+    the round-handle report; a bound of 5e-5 or more fails."""
+    report, orbits = selftest.flowlab.verify_round_handle()
+    monkeypatch.setattr(selftest.flowlab, "verify_round_handle",
+                        lambda: (dict(report, decay_error=3e-5), orbits))
+    passed, detail = selftest._criterion_local_models()
+    assert not passed and "is not < 1e-4" in detail
 
 
 def test_criterion_10_admissibility():

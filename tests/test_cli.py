@@ -197,6 +197,17 @@ class TestVerify:
         assert out.exit_code == 1
         assert "MSFLOW_TOL" in out.payload["error"]
 
+    def test_torus_model_never_loads_numpy_random(self):
+        src = str(Path(msflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        env.pop("MSFLOW_TOL", None)
+        done = subprocess.run([sys.executable, "-X", "importtime", "-m", "msflow", "verify", "torus-model",
+                               "--lambda", "3"], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0 and json.loads(done.stdout)["pass"]
+        imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+        assert "numpy" in imported
+        assert not [name for name in imported if name.startswith("numpy.random")]
+
     def test_round_handle_and_collar(self):
         assert cli.run(["verify", "round-handle"]).exit_code == 0
         assert cli.run(["verify", "collar"]).exit_code == 0
@@ -210,7 +221,9 @@ class TestStiffTorusModel:
     """Beyond |lambda| = 21 the default step cannot resolve the model: exit 1
     naming the step, not the exit-2 "model is wrong" verdict."""
 
-    @pytest.mark.parametrize("lam", [40, -22])
+    # 10**400: lambda^2 + 1 does not fit a float, which is past every step's bound
+    @pytest.mark.parametrize("lam", [40, -22, 10 ** 400, -10 ** 400],
+                             ids=["40", "-22", "10**400", "-10**400"])
     def test_beyond_the_stable_step_is_exit_1(self, lam):
         out = cli.run(["verify", "torus-model", "--lambda", str(lam)])
         assert out.exit_code == 1

@@ -23,6 +23,7 @@ from msflow.errors import (
 from msflow import cli, flowlab as fl
 
 import reference_intersections
+import reference_numerics
 
 
 class TestChartFields:
@@ -78,6 +79,12 @@ class TestRk4:
             fl.rk4_integrate(field, np.array([0.0, 0.0]), 2.0, 1.0)
         with pytest.raises(ValueError):
             fl.rk4_integrate(field, np.array([0.0, 0.0]), -0.1, 1.0)
+
+    @pytest.mark.parametrize("dt,T", [(1e-3, math.inf), (math.inf, 1.0), (math.inf, math.inf),
+                                      (1e-3, math.nan), (math.nan, 1.0)])
+    def test_non_finite_step_or_time_rejected(self, dt, T):
+        with pytest.raises(ValueError, match="need 0 < dt <= T"):
+            fl.rk4_integrate(fl.round_handle_field(), np.array([0.0, 0.0]), dt, T)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
@@ -476,3 +483,108 @@ class TestRoundHandleReport:
     def test_contraction_bound(self):
         traj = fl.rk4_integrate(fl.round_handle_field(), np.array([0.0, 0.5]), 1e-3, 10.0)
         assert abs(traj.end[1]) < 1e-4 * 0.5
+
+
+def _blows_up_at(k, dt):
+    """A 1-D field of speed 1 that turns infinite past x = (k + 0.5) * dt,
+    so RK4 started at 0 first produces a non-finite increment at step k."""
+    class BlowsUp:
+        dim = 1
+        circle_mask = (False,)
+
+        def __call__(self, points):
+            points = np.asarray(points, dtype=float)
+            return np.where(points >= (k + 0.5) * dt, np.inf, 1.0)
+
+    return BlowsUp()
+
+
+def _non_finite_message(integrate, field, x0, dt, T):
+    with pytest.raises(NonFinite) as info:
+        integrate(field, x0, dt, T)
+    return str(info.value)
+
+
+class TestNumericsMatchReference:
+    """The in-place RK4, the collar's r-axis check and the grid boundary
+    check give the floats of the per-step reference in reference_numerics."""
+
+    @staticmethod
+    def assert_same_trajectory(field, x0, dt, T):
+        got = fl.rk4_integrate(field, x0, dt, T)
+        want = reference_numerics.rk4_integrate(field, x0, dt, T)
+        assert np.array_equal(got.points, want.points)
+        assert np.array_equal(got.times, want.times) and got.step == want.step
+
+    def test_round_handle_point_and_batch(self):
+        field = fl.round_handle_field()
+        self.assert_same_trajectory(field, np.array([0.7, 0.5]), 1e-3, 10.0)
+        starts = np.stack([np.linspace(-0.3, 2.9, 9), np.linspace(-0.5, 0.5, 9)], axis=-1)
+        self.assert_same_trajectory(field, starts, 1e-2, 3.0)
+        self.assert_same_trajectory(fl.round_handle_field("repelling"), starts, 1e-2, 3.0)
+
+    @pytest.mark.parametrize("lam", [2, -2, 3, 5, 20, 21, -21])
+    def test_torus_row_signed_batch(self, lam):
+        eps = 1e-4
+        starts = []
+        for b_star in (0.25, 0.75):
+            x0 = np.array([(-b_star) % 1.0, 0.0, 0.0])
+            starts += [x0, x0 + np.array([-eps, 0.0, 0.0]), x0 + np.array([0.0, eps, 0.0])]
+        field = fl._RowSigned(fl.TorusChartField(lam), (1.0, 1.0, 1.0, -1.0, 1.0, 1.0))
+        self.assert_same_trajectory(field, np.array(starts), 1e-3, 1.0)
+
+    def test_suspension_field(self):
+        l1, l2 = fl.demo_curves()
+        isotopy, _report = fl.repair_transversality(l1, l2)
+        starts = np.concatenate([np.zeros((len(l1.points), 1)), l1.points % 1.0], axis=1)
+        self.assert_same_trajectory(fl.SuspensionField(isotopy), starts, 1e-3, 1.0)
+
+    @pytest.mark.parametrize("profiles", [
+        (None, None),
+        (lambda r: np.asarray(r) ** 2, lambda r: (1.0 - np.asarray(r)) ** 3),
+        (lambda r: np.sin(0.5 * np.pi * np.asarray(r)), lambda r: np.cos(0.5 * np.pi * np.asarray(r))),
+    ], ids=["default", "power", "trig"])
+    def test_collar_min_norm(self, profiles):
+        f, g = profiles
+        _field, report = fl.collar_reference_field(f, g)
+        f = f or (lambda r: fl.smoothstep(r))
+        g = g or (lambda r: 1.0 - fl.smoothstep(r))
+        assert report["min_norm"] == reference_numerics.collar_min_norm(f, g)
+
+    @pytest.mark.parametrize("grid_side", [64, 65])
+    def test_collar_vanishing_message(self, grid_side):
+        f = lambda r: np.clip((np.asarray(r) - 0.6) / 0.4, 0.0, 1.0)
+        g = lambda r: np.maximum(0.0, 1.0 - 2.5 * np.asarray(r))
+        with pytest.raises(VanishingField) as got:
+            fl.collar_reference_field(f, g, grid_side=grid_side)
+        with pytest.raises(VanishingField) as want:
+            reference_numerics.collar_min_norm(f, g, grid_side)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("lam", [s * m for m in range(1, 30) for s in (1, -1)])
+    def test_boundary_max_error(self, lam):
+        field = fl.TorusChartField(lam)
+        assert fl.boundary_max_error(field) == reference_numerics.boundary_max_error(field)
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 98])
+    def test_non_finite_names_the_same_step(self, k):
+        field = _blows_up_at(k, 0.01)
+        got = _non_finite_message(fl.rk4_integrate, field, np.array([0.0]), 0.01, 1.0)
+        want = _non_finite_message(reference_numerics.rk4_integrate, field, np.array([0.0]), 0.01, 1.0)
+        assert got == want and got.endswith(f"step {k}")
+
+    @pytest.mark.parametrize("field,x0", [
+        (fl.round_handle_field(), np.array([0.0, np.nan])),
+        (fl.TorusChartField(3), np.array([np.inf, 0.0, 0.0])),
+        (fl._RowSigned(fl.TorusChartField(2), (1.0, -1.0)), np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]])),
+    ], ids=["round-handle", "torus", "row-signed-batch"])
+    def test_non_finite_start_names_step_0(self, field, x0):
+        got = _non_finite_message(fl.rk4_integrate, field, x0, 1e-3, 1.0)
+        want = _non_finite_message(reference_numerics.rk4_integrate, field, x0, 1e-3, 1.0)
+        assert got == want and got.endswith("step 0")
+
+    def test_non_finite_coordinate_the_field_ignores_is_caught(self):
+        # the round handle's field never reads t, so a per-step check of the
+        # increment passes a nan t along; the final-state check does not
+        with pytest.raises(NonFinite, match="step 0$"):
+            fl.rk4_integrate(fl.round_handle_field(), np.array([np.nan, 0.5]), 1e-3, 1.0)
