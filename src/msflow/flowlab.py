@@ -75,7 +75,6 @@ class TorusChartField:
     """
 
     lam: int
-    bump: Callable = default_bump
     g_shift: float = 0.0
 
     dim = 3
@@ -88,7 +87,7 @@ class TorusChartField:
     def profiles(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t, x, z = points[..., 0], points[..., 1], points[..., 2]
         lam = self.lam
-        rho = self.bump(x)
+        rho = default_bump(x)
         flat = 1.0 - rho
         f = flat + rho * (lam + 1) / (lam * lam + 1)
         g = flat * np.cos(2.0 * np.pi * (lam * z - t)) + rho * (lam - 1) / (lam * lam + 1)
@@ -239,12 +238,17 @@ def detect_torus_orbits(field: TorusChartField, dt: float = DT_DEFAULT,
     orbits and their four perturbed starts are one RK4 batch, and each
     returned trajectory is its orbit's column of that batch.
     """
+    largest_lam = math.isqrt(max(0, math.floor(RK4_STABILITY / (2.0 * math.pi * dt) - 1)))
     try:
         rate = 2.0 * math.pi * (field.lam ** 2 + 1)
     except OverflowError:  # lam^2 + 1 beyond the float range: past every step's bound
-        rate = math.inf
+        import decimal  # only here; Decimal counts digits without str()'s size limit
+
+        digits = decimal.Decimal(abs(field.lam)).adjusted() + 1
+        raise StepTooLarge(
+            f"lambda with {digits} digits is too large for float arithmetic, so its in-torus "
+            f"rate has no stable RK4 step (at dt={dt:g}, |lambda| <= {largest_lam} resolves)") from None
     if rate * dt > RK4_STABILITY:
-        largest_lam = math.isqrt(max(0, math.floor(RK4_STABILITY / (2.0 * math.pi * dt) - 1)))
         raise StepTooLarge(
             f"lambda={field.lam} is too stiff for RK4 step dt={dt:g}: its in-torus rate "
             f"{rate:.4g} needs a step of at most {RK4_STABILITY / rate:.3e} "
@@ -618,9 +622,9 @@ def boundary_max_error(field: TorusChartField, n_points: int = 100) -> float:
     """Largest deviation of the field from (1, -x, 1) over boundary points.
 
     The points lie on an evenly spaced (t, z) grid with x alternating
-    between +1 and -1.  With the default bump, bump(+-1) is exactly 1.0,
-    so the field is constant on each boundary torus and any fixed points
-    give the same maximum.
+    between +1 and -1.  The profiles' bump, default_bump, is exactly 1.0 at
+    x = +-1, so the field is constant on each boundary torus and any fixed
+    points give the same maximum.
     """
     side = math.isqrt(n_points - 1) + 1  # ceil(sqrt(n_points))
     k = np.arange(n_points)

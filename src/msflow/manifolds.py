@@ -298,9 +298,6 @@ class HomologyClassExpr:
             None if self.tau is None else tuple(k * v for v in self.tau),
         )
 
-    def __neg__(self) -> "HomologyClassExpr":
-        return self.scale(-1)
-
     def is_zero(self) -> bool:
         return not any(self.lam) and not any(self.alpha) and not any(self.tau or ())
 

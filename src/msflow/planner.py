@@ -22,9 +22,10 @@ adjust), index and, for orbits derived from another, a suffix (saddle,
 cable, cable_saddle).  The label ``p<i>.<role><index>[.<suffix>]`` drops
 ``p<i>.`` in the closed block and on the six adjustment orbits.
 
-Every step appends :class:`OrbitRecord` values to an immutable
-:class:`Ledger`; the step descriptors are plain JSON-safe dicts, and
-:func:`replay` rebuilds the identical orbit list from them alone.
+The plans and :func:`replay` apply every step the same way, appending
+:class:`OrbitRecord` values to a private draft that is frozen into an
+immutable :class:`Ledger`; the step descriptors are plain JSON-safe dicts,
+and :func:`replay` rebuilds the identical orbit list from them alone.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .manifolds import (
     HomologyClassExpr,
     SeifertClosed,
     SeifertPiece,
+    _require_int,
     validate_class,
 )
 
@@ -211,12 +213,6 @@ def _parse_lift_label(label: object) -> dict:
 # Internally a dict maps the closed block (key None) or graph pieces 0..l-1
 # to classes; publicly the closed block is a bare class, pieces a tuple.
 
-def _blocks(value: "HomologyClassExpr | tuple[HomologyClassExpr, ...] | None") -> dict:
-    if isinstance(value, HomologyClassExpr):
-        return {None: value}
-    return dict(enumerate(value or ()))
-
-
 def _shaped(blocks: dict) -> "HomologyClassExpr | tuple[HomologyClassExpr, ...] | None":
     return blocks.get(None) if None in blocks or not blocks else tuple(blocks.values())
 
@@ -305,8 +301,7 @@ class Ledger:
     flow reversal: one expression for a closed manifold or lone piece, a
     tuple with one expression per piece for a graph manifold.  Orbit labels
     read ``p<i>.<role><index>[.<suffix>]``, without ``p<i>.`` in the closed
-    block and on the adjustment orbits.  Step functions never mutate; they
-    return a new ledger.
+    block and on the adjustment orbits.
     """
 
     manifold: "SeifertClosed | SeifertPiece | GraphManifold | None" = None
@@ -314,8 +309,6 @@ class Ledger:
     steps: tuple[dict, ...] = ()
     orbits: tuple[OrbitRecord, ...] = ()
     d2_accumulated: "HomologyClassExpr | tuple[HomologyClassExpr, ...] | None" = None
-    tori: tuple[InvariantTorus, ...] = ()
-    adjusted: bool = False
 
     @property
     def total(self) -> int:
@@ -336,31 +329,30 @@ class Ledger:
 # Construction steps
 
 class _Draft:
-    """A ledger being extended in place, with orbits and tori indexed by
-    label; each method applies one step, for the step functions, the plans
-    and :func:`replay` alike."""
+    """A ledger under construction, extended in place, with orbits and tori
+    indexed by label; each method applies one construction step, for the
+    plans and :func:`replay` alike."""
 
-    def __init__(self, ledger: Ledger) -> None:
-        self.ledger = ledger
-        self.steps = list(ledger.steps)
+    def __init__(self, manifold, target_class) -> None:
+        self.manifold = manifold
+        self.target_class = target_class
+        self.steps: list[dict] = []
         self.orbits: list[OrbitRecord] = []
         self.position: dict[str, int] = {}
-        for orb in ledger.orbits:
-            self._append(orb)
-        self.tori = {t.label: t for t in ledger.tori}
-        self.d2 = _blocks(ledger.d2_accumulated)
-        self.adjusted = ledger.adjusted
+        self.tori: dict[str, InvariantTorus] = {}
+        self.d2: dict = {}
+        self.adjusted = False
 
     def freeze(self) -> Ledger:
-        return replace(self.ledger, steps=tuple(self.steps), orbits=tuple(self.orbits),
-                       d2_accumulated=_shaped(self.d2), tori=tuple(self.tori.values()),
-                       adjusted=self.adjusted)
+        return Ledger(self.manifold, self.target_class, tuple(self.steps), tuple(self.orbits),
+                      _shaped(self.d2))
 
     def _append(self, orbit: OrbitRecord) -> None:
         self.position.setdefault(orbit.label, len(self.orbits))
         self.orbits.append(orbit)
 
     def lift(self, step: dict) -> None:
+        """Append one block's lifted skeleton: fiber orbits, saddles and invariant tori."""
         orbits = [(label, kind, cls) for label, kind, cls in step["fibers"]]
         orbits += [(label, SADDLE, cls) for label, cls in step["saddles"]]
         tori = step["tori"]
@@ -381,6 +373,8 @@ class _Draft:
         self.steps.append(step)
 
     def destroy(self, label: str, lam: int) -> None:
+        """Destroy torus `label` into a (lambda, 1)-curve pair: appends two orbits of class
+        lambda*[label], one keeping the base orbit's stability, the companion a saddle."""
         if not isinstance(lam, int) or isinstance(lam, bool) or lam == 0:
             raise ValueError("torus destruction needs a nonzero integer coefficient")
         marker = self.tori.pop(label, None)
@@ -394,6 +388,8 @@ class _Draft:
         self.steps.append({"op": "destroy_torus", "torus": label, "lambda": lam})
 
     def wada5(self, label: str, q: int) -> None:
+        """Wada's 5th operation with cable slope (1, q) on fiber orbit `label`: the orbit
+        survives and two parallel cables of class q*[label] appear, the second a saddle."""
         if not isinstance(q, int) or isinstance(q, bool):
             raise ValueError("cable coefficient must be an integer")
         if q == 0:
@@ -412,21 +408,25 @@ class _Draft:
         self.steps.append({"op": "wada5", "orbit": label, "q": q, "p": 1})
 
     def reverse(self, link: Iterable[int]) -> None:
-        ids = sorted(set(int(i) for i in link))
-        by_id = {o.id: i for i, o in enumerate(self.orbits)}
+        """Reverse the flow around the orbits with ids `link`, adding their classes to d2;
+        the orbit count is unchanged, and saddles cannot be reversed."""
+        ids = sorted(set(_require_int(i, "link orbit id") for i in link))
         for oid in ids:
-            if oid not in by_id:
+            # orbit ids are positions: every orbit is appended with id = position
+            if not 0 <= oid < len(self.orbits):
                 raise ValueError(f"no orbit with id {oid}")
-            orb = self.orbits[by_id[oid]]
+            orb = self.orbits[oid]
             if orb.kind == SADDLE:
                 raise SaddleInLink(f"orbit {orb.label!r} is a saddle and cannot be reversed")
             if orb.piece not in self.d2:
                 raise ValueError(f"orbit {orb.label!r} belongs to no piece of the graph manifold")
             self.d2[orb.piece] = self.d2[orb.piece] + orb.orbit_class
-            self.orbits[by_id[oid]] = replace(orb, provenance="reversal")
+            self.orbits[oid] = replace(orb, provenance="reversal")
         self.steps.append({"op": "reverse_link", "link": ids})
 
     def adjust(self) -> None:
+        """Fix the plane field's homotopy class, once: six orbits in three canceling
+        pairs, recorded with the trivial class, so d2 is unchanged."""
         if self.adjusted:
             raise AlreadyAdjusted("the homotopy adjustment was already applied")
         # the six orbits belong to no piece: in a closed plan that is the
@@ -437,48 +437,6 @@ class _Draft:
             self._append(OrbitRecord(len(self.orbits), kind, "adjust", i + 1, zero, "homotopy_adjust"))
         self.adjusted = True
         self.steps.append({"op": "homotopy_adjust"})
-
-
-def _step(ledger: Ledger, apply, *args) -> Ledger:
-    draft = _Draft(ledger)
-    apply(draft, *args)
-    return draft.freeze()
-
-
-def destroy_torus_step(ledger: Ledger, label: str, lam: int) -> Ledger:
-    """Destroy the invariant torus over `label` into a (lambda, 1)-curve pair.
-
-    Appends two orbits of class lambda*[label]: one keeps the base orbit's
-    stability, the companion is a saddle.
-    """
-    return _step(ledger, _Draft.destroy, label, lam)
-
-
-def wada5_step(ledger: Ledger, orbit_label: str, q: int) -> Ledger:
-    """Replace a fiber orbit by Wada's 5th operation with cable slope (1, q).
-
-    The original orbit survives (relabeled as the survivor) and two parallel
-    cables appear; the replacement cable carries the class q*[orbit].
-    """
-    return _step(ledger, _Draft.wada5, orbit_label, q)
-
-
-def reverse_link_step(ledger: Ledger, link: "set[int] | list[int] | tuple[int, ...]") -> Ledger:
-    """Reverse the flow in a tube around the given orbits.
-
-    Adds their classes to d2_accumulated and marks them with provenance
-    ``reversal``; the orbit count is unchanged.  Saddles cannot be reversed.
-    """
-    return _step(ledger, _Draft.reverse, link)
-
-
-def homotopy_adjust_step(ledger: Ledger) -> Ledger:
-    """Fix the homotopy class of the transverse plane field.
-
-    Adds six orbits in three canceling pairs, so d2_accumulated is unchanged;
-    the pairs are recorded with the trivial class.  Applicable once.
-    """
-    return _step(ledger, _Draft.adjust)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +497,7 @@ def _plan(manifold: "SeifertClosed | SeifertPiece | GraphManifold",
           blocks: "list[tuple[int | None, SeifertClosed | SeifertPiece, HomologyClassExpr]]") -> Ledger:
     # blocks are (piece, manifold, class) triples, piece None for a closed block
     classes = {piece: c for piece, _m, c in blocks}
-    draft = _Draft(Ledger(manifold=manifold, target_class=_shaped(classes)))
+    draft = _Draft(manifold, _shaped(classes))
     for piece, m, c in blocks:
         start = len(draft.orbits)
         draft.lift(_lift_step_doc(m, piece))
@@ -599,7 +557,7 @@ def replay(steps, manifold=None, target_class=None) -> Ledger:
     an unknown op raises ValueError; a known op with missing or ill-shaped
     fields raises MalformedSpec naming the step's index and op.
     """
-    draft = _Draft(Ledger(manifold=manifold, target_class=target_class))
+    draft = _Draft(manifold, target_class)
     for k, step in enumerate(steps):
         op = step.get("op") if isinstance(step, dict) else None
         if not isinstance(op, str) or op not in _REPLAY:
@@ -608,6 +566,6 @@ def replay(steps, manifold=None, target_class=None) -> Ledger:
             _REPLAY[op](draft, step)
         except KeyError as exc:
             raise MalformedSpec(f"step {k} ({op}) has no field {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (MalformedSpec, TypeError, ValueError) as exc:
             raise MalformedSpec(f"step {k} ({op}) is malformed: {exc}") from None
     return draft.freeze()

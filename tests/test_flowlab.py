@@ -219,6 +219,13 @@ class TestStepStability:
         assert f"{limit:.3e}" in str(info.value)
         assert "|lambda| <= 21" in str(info.value)
 
+    def test_overflowing_lambda_counts_its_digits(self):
+        with pytest.raises(StepTooLarge) as info:
+            fl.detect_torus_orbits(fl.TorusChartField(-10 ** 400))
+        assert str(info.value) == (
+            "lambda with 401 digits is too large for float arithmetic, so its in-torus rate "
+            "has no stable RK4 step (at dt=0.001, |lambda| <= 21 resolves)")
+
     def test_smaller_step_resolves_a_stiff_lambda(self):
         # 2*pi*(22^2 + 1) * 5e-4 = 1.52, well inside the interval
         orbits = fl.detect_torus_orbits(fl.TorusChartField(22), dt=5e-4)

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from msflow import cli
+from msflow.planner import replay
 
 SWAP = [[0, 1], [1, 0]]
 
@@ -109,3 +110,17 @@ def test_out_file_equals_stdout(capsys, tmp_path):
     assert code == 0
     assert target.read_bytes() == out
     assert hashlib.sha256(out).hexdigest() == LADDER[2][2]
+
+
+PLANS = {f"{a[0]}-{a[1]}-{i}": (a, digest)
+         for i, (a, code, digest) in enumerate(LADDER) if a[0] == "plan" and code == 0}
+
+
+@pytest.mark.parametrize("argv,digest", PLANS.values(), ids=PLANS.keys())
+def test_replay_reproduces_golden_plan(capsys, paths, argv, digest):
+    _code, out = _stdout(capsys, [paths.get(a, a) for a in argv])
+    assert hashlib.sha256(out).hexdigest() == digest
+    doc = json.loads(out)
+    again = replay(doc["steps"]).to_json()
+    assert {k: again[k] for k in ("steps", "orbits", "d2", "total")} == {
+        k: doc[k] for k in ("steps", "orbits", "d2", "total")}

@@ -135,7 +135,7 @@ class TestHomologyClassExpr:
         b = HomologyClassExpr((4,), (5, 6), None)
         assert a + b == HomologyClassExpr((5,), (7, 9), None)
         assert a.scale(2) == HomologyClassExpr((2,), (4, 6), None)
-        assert (-a + a).is_zero()
+        assert (a.scale(-1) + a).is_zero()
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -31,20 +31,15 @@ from msflow.manifolds import (
     maximal_class,
 )
 from msflow.planner import (
-    Ledger,
     bound_graph,
     bound_piece,
     bound_seifert,
     bound_sum,
     check_poincare_hopf,
-    destroy_torus_step,
-    homotopy_adjust_step,
     plan_graph,
     plan_seifert,
     replay,
-    reverse_link_step,
     surface_skeleton,
-    wada5_step,
 )
 
 SWAP = ((0, 1), (1, 0))
@@ -196,40 +191,54 @@ class TestPoincareHopf:
         assert not check_poincare_hopf(broken)
 
 
-def lifted_ledger(m):
+def after_lift(m, *steps):
+    """Replay the lift step of the maximal-class plan on `m`, then `steps`,
+    the way a serialized ledger is replayed."""
     c = maximal_class(m)
-    full = plan_seifert(m, c)
-    lift = full.steps[0]
-    return replay((lift,), manifold=m, target_class=c)
+    lift = plan_seifert(m, c).steps[0]
+    return replay((lift, *steps), manifold=m, target_class=c)
+
+
+def destroy(label, lam):
+    return {"op": "destroy_torus", "torus": label, "lambda": lam}
+
+
+def wada5(label, q):
+    return {"op": "wada5", "orbit": label, "q": q, "p": 1}
+
+
+def reverse(*ids):
+    return {"op": "reverse_link", "link": list(ids)}
+
+
+ADJUST = {"op": "homotopy_adjust"}
 
 
 class TestSteps:
     def test_destroy_produces_curve_pair(self):
         m = closed(1, 2, 0)
-        led = lifted_ledger(m)
-        before = led.total
-        out = destroy_torus_step(led, "beta1", 3)
+        before = after_lift(m).total
+        out = after_lift(m, destroy("beta1", 3))
         assert out.total == before + 2
         new = out.orbits[-2:]
         assert [o.label for o in new] == ["beta1", "beta1.saddle"]
         assert new[0].orbit_class == HomologyClassExpr((3,), (0,), None)
         assert new[1].kind == "saddle"
-        assert all(t.label != "beta1" for t in out.tori)
+        assert out.steps[-1] == destroy("beta1", 3)
+        with pytest.raises(UnknownTorus):
+            after_lift(m, destroy("beta1", 3), destroy("beta1", 3))
 
     def test_destroy_unknown_torus(self):
-        led = lifted_ledger(closed(1, 2, 0))
         with pytest.raises(UnknownTorus):
-            destroy_torus_step(led, "beta9", 1)
+            after_lift(closed(1, 2, 0), destroy("beta9", 1))
 
     def test_destroy_zero_coefficient(self):
-        led = lifted_ledger(closed(1, 2, 0))
-        with pytest.raises(ValueError):
-            destroy_torus_step(led, "beta1", 0)
+        with pytest.raises(MalformedSpec, match=r"^step 1 \(destroy_torus\) is malformed: "
+                           r"torus destruction needs a nonzero integer coefficient$"):
+            after_lift(closed(1, 2, 0), destroy("beta1", 0))
 
     def test_wada_replaces_fiber(self):
-        m = closed(0, 2, 1)
-        led = lifted_ledger(m)
-        out = wada5_step(led, "gamma1", 5)
+        out = after_lift(closed(0, 2, 1), wada5("gamma1", 5))
         survivor = next(o for o in out.orbits if o.label == "gamma1")
         assert survivor.provenance == "wada5_survivor"
         cables = [o for o in out.orbits if o.provenance == "wada5_cable"]
@@ -238,46 +247,41 @@ class TestSteps:
         assert cables[0].orbit_class == HomologyClassExpr((), (0, 5), None)
 
     def test_wada_rejects_zero(self):
-        led = lifted_ledger(closed(0, 2, 1))
         with pytest.raises(ZeroCoefficient):
-            wada5_step(led, "gamma1", 0)
+            after_lift(closed(0, 2, 1), wada5("gamma1", 0))
 
     def test_wada_rejects_non_fiber(self):
         m = closed(1, 2, 1)
-        led = lifted_ledger(m)
         with pytest.raises(NotFiberOrbit):
-            wada5_step(led, "saddle1", 2)
+            after_lift(m, wada5("saddle1", 2))
         with pytest.raises(NotFiberOrbit):
-            wada5_step(led, "nonexistent", 2)
+            after_lift(m, wada5("nonexistent", 2))
 
     def test_reverse_accumulates_classes(self):
         m = closed(1, 2, 0)
-        led = lifted_ledger(m)
-        led = destroy_torus_step(led, "beta1", 2)
+        led = after_lift(m, destroy("beta1", 2))
         target = next(o.id for o in led.orbits if o.label == "beta1"
                       and o.provenance == "torus_destruction")
-        out = reverse_link_step(led, [target])
+        out = after_lift(m, destroy("beta1", 2), reverse(target))
         assert out.d2_accumulated == HomologyClassExpr((2,), (0,), None)
         assert out.orbits[target].provenance == "reversal"
         assert out.total == led.total
 
     def test_reverse_rejects_saddles(self):
         m = closed(1, 2, 0)
-        led = lifted_ledger(m)
-        led = destroy_torus_step(led, "beta1", 2)
-        saddle = next(o.id for o in led.orbits if o.kind == "saddle")
+        saddle = next(o.id for o in after_lift(m).orbits if o.kind == "saddle")
         with pytest.raises(SaddleInLink):
-            reverse_link_step(led, [saddle])
+            after_lift(m, reverse(saddle))
 
     def test_reverse_rejects_unknown_ids(self):
-        led = lifted_ledger(closed(0, 2, 0))
-        with pytest.raises(ValueError):
-            reverse_link_step(led, [999])
+        with pytest.raises(MalformedSpec, match=r"^step 1 \(reverse_link\) is malformed: "
+                           r"no orbit with id 999$"):
+            after_lift(closed(0, 2, 0), reverse(999))
 
     def test_adjust_adds_six_and_only_once(self):
         m = closed(0, 2, 0)
-        led = lifted_ledger(m)
-        out = homotopy_adjust_step(led)
+        led = after_lift(m)
+        out = after_lift(m, ADJUST)
         assert out.total == led.total + 6
         tail = out.orbits[-6:]
         assert [o.kind for o in tail] == [
@@ -285,7 +289,7 @@ class TestSteps:
         assert all(o.orbit_class.is_zero() for o in tail)
         assert out.d2_accumulated == led.d2_accumulated
         with pytest.raises(AlreadyAdjusted):
-            homotopy_adjust_step(out)
+            after_lift(m, ADJUST, ADJUST)
 
 
 class TestPlanSeifert:
@@ -482,8 +486,17 @@ GOOD_LIFT = {"op": "lift", "fibers": [["gamma0", "attracting", {"lambda": [], "a
     {"op": "reverse_link"},
     dict(GOOD_LIFT, fibers=[["gamma1", "attracting"]]),
     dict(GOOD_LIFT, fibers=5),
+    dict(GOOD_LIFT, fibers=[]),
+    dict(GOOD_LIFT, fibers=[["gam ma0", "attracting", {"lambda": [], "alpha": [1]}]]),
+    dict(GOOD_LIFT, fibers=[["gamma0", "attracting", {"lambda": [], "alpha": [1.5]}]]),
+    dict(GOOD_LIFT, fibers=[["p3.gamma0", "attracting", {"lambda": [], "alpha": [1]}]]),
+    {"op": "reverse_link", "link": [0.9]},
+    {"op": "reverse_link", "link": ["0"]},
+    {"op": "reverse_link", "link": [False]},
 ], ids=["destroy-no-fields", "lift-no-fields", "wada5-no-q", "reverse-no-link",
-        "lift-entry-arity", "lift-fibers-scalar"])
+        "lift-entry-arity", "lift-fibers-scalar", "lift-empty", "lift-label-space",
+        "lift-fractional-coefficient", "lift-piece-out-of-order", "reverse-float-id",
+        "reverse-string-id", "reverse-bool-id"])
 def test_malformed_step_names_its_index_and_op(step):
     with pytest.raises(MalformedSpec, match=rf"^step 1 \({step['op']}\)"):
         replay((GOOD_LIFT, step))
