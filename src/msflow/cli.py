@@ -6,7 +6,9 @@ with shell pipelines.  Exit codes: 0 success, 1 invalid input or usage,
 2 a verification or consistency check failed.
 
 The environment variable MSFLOW_TOL overrides the orbit-closure tolerance
-used by ``verify torus-model``.
+used by ``verify torus-model``.  OPENBLAS_NUM_THREADS defaults to 1 here,
+before numpy loads, so no command pays to start a BLAS thread pool; a value
+already set in the environment is kept.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+
+# set before numpy loads: a 2-vector dot product never repays starting OpenBLAS's thread pool
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import flowlab
 from .errors import (

@@ -362,6 +362,8 @@ class _Draft:
         piece = _parse_lift_label(label)["piece"]
         if piece not in (None, len(self.d2)):
             raise MalformedSpec(f"lift for piece {piece} arrived out of order")
+        if self.d2 and (piece is None or None in self.d2):
+            raise MalformedSpec("a closed lift must be the only lift")
         self.d2.setdefault(piece, HomologyClassExpr.from_json(sample).scale(0))
         for label, kind, cls in orbits:
             self._append(OrbitRecord(len(self.orbits), kind, orbit_class=HomologyClassExpr.from_json(cls),
@@ -555,7 +557,8 @@ def replay(steps, manifold=None, target_class=None) -> Ledger:
     The orbit list, totals, and d2 accumulation depend only on the steps, so
     replaying a ledger's steps reproduces its orbits exactly.  A step with
     an unknown op raises ValueError; a known op with missing or ill-shaped
-    fields raises MalformedSpec naming the step's index and op.
+    fields raises MalformedSpec naming the step's index and op, and a step
+    the construction rejects keeps its error type behind the same prefix.
     """
     draft = _Draft(manifold, target_class)
     for k, step in enumerate(steps):
@@ -568,4 +571,6 @@ def replay(steps, manifold=None, target_class=None) -> Ledger:
             raise MalformedSpec(f"step {k} ({op}) has no field {exc}") from None
         except (MalformedSpec, TypeError, ValueError) as exc:
             raise MalformedSpec(f"step {k} ({op}) is malformed: {exc}") from None
+        except (UnknownTorus, NotFiberOrbit, ZeroCoefficient, SaddleInLink, AlreadyAdjusted) as exc:
+            raise type(exc)(f"step {k} ({op}): {exc}") from None
     return draft.freeze()

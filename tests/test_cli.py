@@ -217,6 +217,31 @@ class TestVerify:
         assert out.exit_code == 0 and out.payload["pass"]
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task to count threads")
+class TestStartup:
+    """`msflow.cli` caps OpenBLAS at one thread before numpy loads, unless
+    the environment already says otherwise."""
+
+    PROBE = ("import os, msflow.cli; "
+             "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+
+    def probe(self, **preset):
+        src = str(Path(msflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        env.update(preset)
+        done = subprocess.run([sys.executable, "-c", self.PROBE], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        threads, value = done.stdout.split()
+        return int(threads), value
+
+    def test_import_starts_no_blas_threads(self):
+        assert self.probe() == (1, "1")
+
+    def test_preset_value_wins(self):
+        assert self.probe(OPENBLAS_NUM_THREADS="2")[1] == "2"
+
+
 class TestStiffTorusModel:
     """Beyond |lambda| = 21 the default step cannot resolve the model: exit 1
     naming the step, not the exit-2 "model is wrong" verdict."""

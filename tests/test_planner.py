@@ -479,24 +479,49 @@ GOOD_LIFT = {"op": "lift", "fibers": [["gamma0", "attracting", {"lambda": [], "a
              "saddles": [], "tori": []}
 
 
-@pytest.mark.parametrize("step", [
-    {"op": "destroy_torus"},
-    {"op": "lift"},
-    {"op": "wada5", "orbit": "gamma1"},
-    {"op": "reverse_link"},
-    dict(GOOD_LIFT, fibers=[["gamma1", "attracting"]]),
-    dict(GOOD_LIFT, fibers=5),
-    dict(GOOD_LIFT, fibers=[]),
-    dict(GOOD_LIFT, fibers=[["gam ma0", "attracting", {"lambda": [], "alpha": [1]}]]),
-    dict(GOOD_LIFT, fibers=[["gamma0", "attracting", {"lambda": [], "alpha": [1.5]}]]),
-    dict(GOOD_LIFT, fibers=[["p3.gamma0", "attracting", {"lambda": [], "alpha": [1]}]]),
-    {"op": "reverse_link", "link": [0.9]},
-    {"op": "reverse_link", "link": ["0"]},
-    {"op": "reverse_link", "link": [False]},
+# the closed lift of a plan on SeifertClosed(1, 2, ()) and piece 0's lift of a graph plan
+CLOSED_LIFT = after_lift(closed(1, 2, 0)).steps[0]
+PIECE_LIFT = plan_graph(two_piece_graph(), maximal_class(two_piece_graph())).steps[0]
+
+
+@pytest.mark.parametrize("steps", [
+    *((GOOD_LIFT, step) for step in (
+        {"op": "destroy_torus"},
+        {"op": "lift"},
+        {"op": "wada5", "orbit": "gamma1"},
+        {"op": "reverse_link"},
+        dict(GOOD_LIFT, fibers=[["gamma1", "attracting"]]),
+        dict(GOOD_LIFT, fibers=5),
+        dict(GOOD_LIFT, fibers=[]),
+        dict(GOOD_LIFT, fibers=[["gam ma0", "attracting", {"lambda": [], "alpha": [1]}]]),
+        dict(GOOD_LIFT, fibers=[["gamma0", "attracting", {"lambda": [], "alpha": [1.5]}]]),
+        dict(GOOD_LIFT, fibers=[["p3.gamma0", "attracting", {"lambda": [], "alpha": [1]}]]),
+        {"op": "reverse_link", "link": [0.9]},
+        {"op": "reverse_link", "link": ["0"]},
+        {"op": "reverse_link", "link": [False]},
+        dict(GOOD_LIFT, fibers=[["p1.gamma0", "attracting", {"lambda": [], "alpha": [1]}]]),
+    )),
+    (CLOSED_LIFT, CLOSED_LIFT),
+    (PIECE_LIFT, CLOSED_LIFT),
 ], ids=["destroy-no-fields", "lift-no-fields", "wada5-no-q", "reverse-no-link",
         "lift-entry-arity", "lift-fibers-scalar", "lift-empty", "lift-label-space",
         "lift-fractional-coefficient", "lift-piece-out-of-order", "reverse-float-id",
-        "reverse-string-id", "reverse-bool-id"])
-def test_malformed_step_names_its_index_and_op(step):
-    with pytest.raises(MalformedSpec, match=rf"^step 1 \({step['op']}\)"):
-        replay((GOOD_LIFT, step))
+        "reverse-string-id", "reverse-bool-id", "lift-piece-after-closed",
+        "lift-closed-repeated", "lift-closed-after-piece"])
+def test_malformed_step_names_its_index_and_op(steps):
+    with pytest.raises(MalformedSpec, match=rf"^step 1 \({steps[1]['op']}\)"):
+        replay(steps)
+
+
+@pytest.mark.parametrize("steps,error", [
+    ((destroy("nope", 1),), UnknownTorus),
+    ((wada5("saddle1", 2),), NotFiberOrbit),
+    ((wada5("gamma1", 0),), ZeroCoefficient),
+    ((reverse(2),), SaddleInLink),
+    ((ADJUST, ADJUST), AlreadyAdjusted),
+], ids=["unknown-torus", "not-fiber-orbit", "zero-coefficient", "saddle-in-link",
+        "already-adjusted"])
+def test_step_error_names_its_index_and_op(steps, error):
+    # closed(1, 2, 1) lifts gamma0, gamma1, then saddle1 with id 2
+    with pytest.raises(error, match=rf"^step {len(steps)} \({steps[-1]['op']}\): "):
+        after_lift(closed(1, 2, 1), *steps)
