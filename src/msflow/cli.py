@@ -66,9 +66,17 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> "None":  # type: ignore[override]
         raise _UsageError(message)
+
+    def print_help(self, file=None) -> None:
+        # -h/--help: the usage line becomes the JSON payload, the help text a diagnostic
+        raise _HelpRequested(self)
 
 
 @dataclass(frozen=True)
@@ -277,7 +285,7 @@ def _cmd_verify(args) -> CommandOutcome:
         if args.dump_csv:
             _dump_orbits_csv(args.dump_csv, orbits)
     elif args.target == "round-handle":
-        report, _orbits = flowlab.verify_round_handle()
+        report = flowlab.verify_round_handle()
     elif args.target == "glue-demo":
         report = flowlab.verify_glue_demo()
     else:
@@ -317,6 +325,11 @@ def run(argv) -> CommandOutcome:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_selftest()
+    except _HelpRequested as exc:
+        parser = exc.args[0]
+        # one line whatever the terminal width, so the payload's bytes do not depend on COLUMNS
+        usage = " ".join(parser.format_usage().split())
+        return CommandOutcome(0, {"usage": usage}, (parser.format_help().rstrip(),))
     except _UsageError as exc:
         return CommandOutcome(1, {"error": str(exc)}, (f"usage error: {exc}",))
     except _VERIFY_FAILURES as exc:

@@ -126,10 +126,6 @@ class RoundHandleField:
         return out
 
 
-def round_handle_field(stability: str = "attracting") -> RoundHandleField:
-    return RoundHandleField(stability)
-
-
 class _RowSigned:
     """A chart field scaled by +1.0 or -1.0 per row of a batch of points; a
     -1.0 row is integrated backward in time.  The sign is exact, so each row
@@ -451,9 +447,10 @@ class TranslationIsotopy:
     """phi_t(p) = p + ramp(t) * displacement, identity for t < eps and
     constant for t > 1 - eps."""
 
-    def __init__(self, displacement, eps: float = 0.1) -> None:
+    eps = 0.1
+
+    def __init__(self, displacement) -> None:
         self.displacement = np.asarray(displacement, dtype=float)
-        self.eps = eps
 
     def ramp(self, t):
         return smoothstep((np.asarray(t, dtype=float) - self.eps) / (1.0 - 2.0 * self.eps))
@@ -618,31 +615,30 @@ def collar_reference_field(f_profile: Callable | None = None,
 # ---------------------------------------------------------------------------
 # Verification reports
 
-def boundary_max_error(field: TorusChartField, n_points: int = 100) -> float:
-    """Largest deviation of the field from (1, -x, 1) over boundary points.
+def boundary_max_error(field: TorusChartField) -> float:
+    """Largest deviation of the field from (1, -x, 1) over 100 boundary points.
 
-    The points lie on an evenly spaced (t, z) grid with x alternating
+    The points lie on an evenly spaced 10 x 10 (t, z) grid with x alternating
     between +1 and -1.  The profiles' bump, default_bump, is exactly 1.0 at
     x = +-1, so the field is constant on each boundary torus and any fixed
     points give the same maximum.
     """
-    side = math.isqrt(n_points - 1) + 1  # ceil(sqrt(n_points))
-    k = np.arange(n_points)
-    t, z = (k // side) / side, (k % side) / side
+    k = np.arange(100)
+    t, z = (k // 10) / 10, (k % 10) / 10
     x = np.where(k % 2 == 0, 1.0, -1.0)
     pts = np.stack([t, x, z], axis=-1)
-    target = np.stack([np.ones(n_points), -x, np.ones(n_points)], axis=-1)
+    target = np.stack([np.ones(100), -x, np.ones(100)], axis=-1)
     return float(np.max(np.abs(field(pts) - target)))
 
 
-def verify_torus_model(lam: int, dt: float = DT_DEFAULT, tol: float = CLOSURE_TOL):
+def verify_torus_model(lam: int, tol: float = CLOSURE_TOL):
     """Full check of the torus-destruction model at one coefficient.
 
     Returns (report, orbits); `orbits` are the detected trajectories for an
     optional CSV dump.  Raises OrbitNotClosed if either orbit fails to close.
     """
     field = TorusChartField(lam)
-    orbits = detect_torus_orbits(field, dt, tol)
+    orbits = detect_torus_orbits(field, tol=tol)
     expected_signs = ((-1, -1), (1, -1))
     entries = []
     signs_ok = True
@@ -661,18 +657,18 @@ def verify_torus_model(lam: int, dt: float = DT_DEFAULT, tol: float = CLOSURE_TO
     return report, orbits
 
 
-def verify_round_handle(dt: float = DT_DEFAULT):
+def verify_round_handle() -> dict:
     """Check the round-handle model: closed orbit, decay rate, and RK4 order.
 
     The order ratio compares endpoint errors against the exact solution
     x(1) = 0.5*exp(-1) from x0 = 0.5 at step sizes 0.05 and 0.025; fourth
     order predicts a ratio near 16, and anything >= 8 passes.
     """
-    field = round_handle_field("attracting")
-    orbit = rk4_integrate(field, np.array([0.0, 0.0]), dt, 1.0)
+    field = RoundHandleField("attracting")
+    orbit = rk4_integrate(field, np.array([0.0, 0.0]), DT_DEFAULT, 1.0)
     closure = wrapped_distance(orbit.end, orbit.start, field.circle_mask)
 
-    decay = rk4_integrate(field, np.array([0.0, 0.5]), dt, 10.0)
+    decay = rk4_integrate(field, np.array([0.0, 0.5]), DT_DEFAULT, 10.0)
     decay_err = abs(decay.end[1] - 0.5 * math.exp(-10.0))
 
     exact = 0.5 * math.exp(-1.0)
@@ -688,7 +684,7 @@ def verify_round_handle(dt: float = DT_DEFAULT):
         "order_ratio": ratio,
         "pass": bool(closure < 1e-9 and decay_err < 1e-6 and ratio >= 8.0),
     }
-    return report, [orbit]
+    return report
 
 
 def demo_curves() -> tuple[TorusCurve, TorusCurve]:

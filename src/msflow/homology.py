@@ -395,8 +395,9 @@ def _generator_names(m: SeifertClosed | SeifertPiece) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _fiber_rows(m: SeifertClosed | SeifertPiece, width: int) -> list[tuple[int, ...]]:
-    h = 2 * m.genus
+def _fiber_rows(m: SeifertClosed | SeifertPiece, width: int, offset: int) -> list[tuple[int, ...]]:
+    # one row p_j*mu_j - q_j*h per fiber, over `width` columns with m's block at `offset`
+    h = offset + 2 * m.genus
     rows = []
     for j, f in enumerate(m.fibers):
         row = [0] * width
@@ -415,7 +416,7 @@ def seifert_h1(m: SeifertClosed) -> H1Group:
     closing[2 * m.genus] = m.euler
     for j in range(m.n):
         closing[2 * m.genus + 1 + j] = 1
-    rows = [tuple(closing)] + _fiber_rows(m, width)
+    rows = [tuple(closing)] + _fiber_rows(m, width, 0)
     return group_from_presentation(IntMatrix.from_rows(rows, width), names)
 
 
@@ -423,7 +424,7 @@ def seifert_h1(m: SeifertClosed) -> H1Group:
 def piece_h1(p: SeifertPiece) -> H1Group:
     """H_1 of a bounded piece: fiber relations only, no closing row."""
     names = _generator_names(p)
-    rows = _fiber_rows(p, len(names))
+    rows = _fiber_rows(p, len(names), 0)
     return group_from_presentation(IntMatrix.from_rows(rows, len(names)), names)
 
 
@@ -435,56 +436,26 @@ def _core_pair(f) -> tuple[int, int]:
     return r, s
 
 
-def core_class_vector(m: SeifertClosed | SeifertPiece, j: int) -> tuple[int, ...]:
-    """[gamma_j] in generator coordinates: h for j = 0, r_j*mu_j + s_j*h else."""
-    vec = [0] * len(_generator_names(m))
-    h = 2 * m.genus
-    if j == 0:
-        vec[h] = 1
-    else:
-        r, s = _core_pair(m.fibers[j - 1])
-        vec[h] = s
-        vec[h + j] = r
-    return tuple(vec)
-
-
 def expr_to_vector(m: SeifertClosed | SeifertPiece, c: HomologyClassExpr) -> tuple[int, ...]:
     """Expand a (beta, gamma, delta) class into generator coordinates.
 
-    beta_i is realized as the surface generator a_i; gamma classes expand via
-    :func:`core_class_vector`; delta_c is its own generator (pieces only).
+    beta_i is realized as the surface generator a_i; gamma_0 is the fiber h
+    and gamma_j is r_j*mu_j + s_j*h with p_j*s_j - q_j*r_j = 1; delta_c is
+    its own generator (pieces only).
     """
     vec = [0] * len(_generator_names(m))
+    h = 2 * m.genus
     for i, coeff in enumerate(c.lam):
         vec[2 * i] += coeff
     for j, coeff in enumerate(c.alpha):
-        if coeff:
-            core = core_class_vector(m, j)
-            for idx, entry in enumerate(core):
-                vec[idx] += coeff * entry
-    if c.tau:
-        base = 2 * m.genus + 1 + m.n
-        for cidx, coeff in enumerate(c.tau):
-            vec[base + cidx] += coeff
-    return tuple(vec)
-
-
-def section_vector(p: SeifertPiece, slot: int) -> tuple[int, ...]:
-    """Class of the section curve on a boundary slot, in piece generators.
-
-    Slots 1..k-1 carry the generators delta_1..delta_{k-1}; the slot-0 section
-    balances them against the exceptional meridians.
-    """
-    vec = [0] * len(_generator_names(p))
-    mu_base = 2 * p.genus + 1
-    delta_base = mu_base + p.n
-    if slot == 0:
-        for j in range(p.n):
-            vec[mu_base + j] = -1
-        for c in range(p.boundary - 1):
-            vec[delta_base + c] = -1
-    else:
-        vec[delta_base + slot - 1] = 1
+        if j == 0:
+            vec[h] += coeff
+        elif coeff:
+            r, s = _core_pair(m.fibers[j - 1])
+            vec[h] += coeff * s
+            vec[h + j] += coeff * r
+    for cidx, coeff in enumerate(c.tau or ()):
+        vec[h + 1 + m.n + cidx] += coeff
     return tuple(vec)
 
 
@@ -502,16 +473,15 @@ def fiber_vector(m: SeifertClosed | SeifertPiece) -> tuple[int, ...]:
 class GraphPresentation:
     """Assembled presentation of a graph manifold's first homology.
 
-    Generators are the piece generators (prefixed ``p<i>.``) followed by one
-    free generator ``t<m>`` per non-tree edge m, listed in `nontree_edges`;
-    `piece_offsets[i]` locates piece i's block.  The trailing
-    ``len(nontree_edges)`` coordinates of a class are its image in the cycle
-    space of the gluing multigraph.
+    Generators are the piece generators (prefixed ``p<i>.``), piece by
+    piece, followed by one free generator ``t<m>`` per non-tree edge m,
+    listed in `nontree_edges`.  The trailing ``len(nontree_edges)``
+    coordinates of a class are its image in the cycle space of the gluing
+    multigraph.
     """
 
     generator_names: tuple[str, ...]
     relations: IntMatrix
-    piece_offsets: tuple[int, ...]
     nontree_edges: tuple[int, ...]
 
 
@@ -525,32 +495,36 @@ def graph_presentation(g: GraphManifold) -> GraphPresentation:
     _tree, nontree = spanning_tree(g.l, g.edges)
     names += [f"t{idx}" for idx in nontree]
     width = len(names)
-
-    def embedded(piece: int, local: tuple[int, ...]) -> list[int]:
-        vec = [0] * width
-        for k, entry in enumerate(local):
-            vec[offsets[piece] + k] = entry
-        return vec
-
     rows: list[tuple[int, ...]] = []
-    for i, pc in enumerate(g.pieces):
-        for local in _fiber_rows(pc, len(_generator_names(pc))):
-            rows.append(tuple(embedded(i, local)))
+    for pc, offset in zip(g.pieces, offsets):
+        rows += _fiber_rows(pc, width, offset)
+
+    def side(piece: int, slot: int) -> tuple[dict[int, int], dict[int, int]]:
+        # the fiber and the section curve on one boundary slot, as {column:
+        # coefficient}: slots 1..k-1 carry delta_1..delta_{k-1}, and the
+        # slot-0 section is minus every mu_j and every delta_c
+        pc = g.pieces[piece]
+        h = offsets[piece] + 2 * pc.genus
+        if slot:
+            return {h: 1}, {h + pc.n + slot: 1}
+        return {h: 1}, {col: -1 for col in range(h + 1, h + pc.n + pc.boundary)}
+
     # each gluing identifies (fiber, section) of side a with the matrix image
     # of (fiber, section) of side b; a non-tree edge additionally contributes
     # the free generator t<idx> of the gluing graph's cycle space
     for e in g.edges:
         (a, b), (c, d) = e.matrix
-        h_a = embedded(e.piece_a, fiber_vector(g.pieces[e.piece_a]))
-        s_a = embedded(e.piece_a, section_vector(g.pieces[e.piece_a], e.slot_a))
-        h_b = embedded(e.piece_b, fiber_vector(g.pieces[e.piece_b]))
-        s_b = embedded(e.piece_b, section_vector(g.pieces[e.piece_b], e.slot_b))
-        rows.append(tuple(x - a * y - c * z for x, y, z in zip(h_a, h_b, s_b)))
-        rows.append(tuple(x - b * y - d * z for x, y, z in zip(s_a, h_b, s_b)))
+        fiber_a, section_a = side(e.piece_a, e.slot_a)
+        fiber_b, section_b = side(e.piece_b, e.slot_b)
+        for lhs, x, y in ((fiber_a, a, c), (section_a, b, d)):
+            row = [0] * width
+            for terms, k in ((lhs, 1), (fiber_b, -x), (section_b, -y)):
+                for col, v in terms.items():
+                    row[col] += k * v
+            rows.append(tuple(row))
     return GraphPresentation(
         generator_names=tuple(names),
         relations=IntMatrix.from_rows(rows, width),
-        piece_offsets=tuple(offsets),
         nontree_edges=nontree,
     )
 
@@ -573,19 +547,13 @@ def graph_class_vector(
     pres = graph_presentation(g)
     if len(per_piece) != g.l:
         raise DimensionMismatch(f"expected {g.l} per-piece classes, got {len(per_piece)}")
-    vec = [0] * len(pres.generator_names)
-    for i, (pc, expr) in enumerate(zip(g.pieces, per_piece)):
-        local = expr_to_vector(pc, expr)
-        for k, entry in enumerate(local):
-            vec[pres.piece_offsets[i] + k] = entry
+    vec = [x for pc, expr in zip(g.pieces, per_piece) for x in expr_to_vector(pc, expr)]
     b1 = len(pres.nontree_edges)
-    if cycles is not None:
-        if len(cycles) != b1:
-            raise DimensionMismatch(f"expected {b1} cycle coordinates, got {len(cycles)}")
-        t_base = len(pres.generator_names) - b1
-        for k, entry in enumerate(cycles):
-            vec[t_base + k] = _require_int(entry, f"cycle coordinate {k}")
-    return tuple(vec)
+    if cycles is None:
+        return tuple(vec + [0] * b1)
+    if len(cycles) != b1:
+        raise DimensionMismatch(f"expected {b1} cycle coordinates, got {len(cycles)}")
+    return tuple(vec + [_require_int(entry, f"cycle coordinate {k}") for k, entry in enumerate(cycles)])
 
 
 def class_is_admissible(g: GraphManifold, vector: tuple[int, ...]) -> bool:

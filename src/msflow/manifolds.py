@@ -311,7 +311,7 @@ class HomologyClassExpr:
     def from_json(doc: dict) -> "HomologyClassExpr":
         if not isinstance(doc, dict):
             raise MalformedSpec(f"class document {doc!r} is not an object")
-        unknown = set(doc) - {"lambda", "alpha", "tau", "piece"}
+        unknown = set(doc) - {"lambda", "alpha", "tau"}
         if unknown:
             raise MalformedSpec(f"unknown class keys {sorted(unknown)}")
         return HomologyClassExpr(

@@ -555,16 +555,16 @@ def replay(steps, manifold=None, target_class=None) -> Ledger:
     """Rebuild a ledger from serialized step descriptors.
 
     The orbit list, totals, and d2 accumulation depend only on the steps, so
-    replaying a ledger's steps reproduces its orbits exactly.  A step with
-    an unknown op raises ValueError; a known op with missing or ill-shaped
-    fields raises MalformedSpec naming the step's index and op, and a step
+    replaying a ledger's steps reproduces its orbits exactly.  A malformed
+    step (not an object, an unknown op, missing or ill-shaped fields) raises
+    MalformedSpec naming the step's index and, when known, its op; a step
     the construction rejects keeps its error type behind the same prefix.
     """
     draft = _Draft(manifold, target_class)
     for k, step in enumerate(steps):
         op = step.get("op") if isinstance(step, dict) else None
         if not isinstance(op, str) or op not in _REPLAY:
-            raise ValueError(f"unknown step {step!r}")
+            raise MalformedSpec(f"step {k} has no known op: {step!r}")
         try:
             _REPLAY[op](draft, step)
         except KeyError as exc:

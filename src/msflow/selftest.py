@@ -248,7 +248,7 @@ def _criterion_glue_repair() -> tuple[bool, str]:
 
 
 def _criterion_local_models() -> tuple[bool, str]:
-    report, _orbits = flowlab.verify_round_handle()
+    report = flowlab.verify_round_handle()
     if not report["pass"]:
         return False, f"round handle: {json.dumps(report, sort_keys=True)}"
     # the report's decay run ends at x(10) within decay_error of 0.5*exp(-10)

@@ -83,9 +83,9 @@ def test_criterion_09_round_handle_and_collar():
 def test_criterion_09_bounds_x10_from_the_round_handle_report(monkeypatch):
     """Criterion 9 takes its |x(10)| bound, decay_error + 0.5*exp(-10), from
     the round-handle report; a bound of 5e-5 or more fails."""
-    report, orbits = selftest.flowlab.verify_round_handle()
+    report = selftest.flowlab.verify_round_handle()
     monkeypatch.setattr(selftest.flowlab, "verify_round_handle",
-                        lambda: (dict(report, decay_error=3e-5), orbits))
+                        lambda: dict(report, decay_error=3e-5))
     passed, detail = selftest._criterion_local_models()
     assert not passed and "is not < 1e-4" in detail
 

@@ -162,6 +162,13 @@ class TestHomology:
         assert out.exit_code == 0
         assert out.payload["admissible"] is False
 
+    def test_class_rejects_the_orbit_piece_key(self, tmp_path, capsys):
+        cls = {"lambda": [], "alpha": [2], "tau": []}
+        spec = json.dumps({"pieces": [dict(cls, piece=7), cls]})
+        code = cli.main(["homology", "graph", str(write_graph(tmp_path)), "--class", spec])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out) == {"error": "unknown class keys ['piece']"}
+
 
 class TestVerify:
     def test_torus_model(self):
@@ -296,6 +303,22 @@ class TestHarness:
         assert code == 0
         assert json.loads(captured.out) == {"bound": 10}
         assert captured.out.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["plan", "--help"], ["verify", "torus-model", "-h"]])
+    def test_help_is_one_json_document(self, argv):
+        """A fresh process answers -h/--help with its usage line as one JSON
+        document on stdout, the help text on stderr, and exit 0; a narrow
+        terminal does not wrap the payload's usage line."""
+        src = str(Path(msflow.__file__).resolve().parents[1])
+        env = dict(os.environ, COLUMNS="30",
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-m", "msflow", *argv], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout.count("\n") == 1
+        usage = json.loads(done.stdout)["usage"]
+        assert usage.startswith(f"usage: msflow {' '.join(argv[:-1])}".rstrip())
+        assert " ".join(done.stderr.split()).startswith(usage)
 
     def test_main_keeps_diagnostics_off_stdout(self, capsys):
         code = cli.main(["bound", "graph", "no-such-file.json"])

@@ -52,29 +52,29 @@ class TestChartFields:
         assert np.allclose(field(p), field(p + [0, 0, 1]), atol=1e-9)
 
     def test_round_handle_signs(self):
-        attract = fl.round_handle_field("attracting")
-        repel = fl.round_handle_field("repelling")
+        attract = fl.RoundHandleField("attracting")
+        repel = fl.RoundHandleField("repelling")
         p = np.array([0.0, 0.5])
         assert attract(p)[1] == -0.5 and repel(p)[1] == 0.5
         with pytest.raises(ValueError):
-            fl.round_handle_field("sideways")
+            fl.RoundHandleField("sideways")
 
 
 class TestRk4:
     def test_constant_speed_loop_closes(self):
-        traj = fl.rk4_integrate(fl.round_handle_field(), np.array([0.0, 0.0]), 1e-3, 1.0)
+        traj = fl.rk4_integrate(fl.RoundHandleField(), np.array([0.0, 0.0]), 1e-3, 1.0)
         assert fl.wrapped_distance(traj.end, traj.start, (True, False)) < 1e-9
 
     def test_exponential_decay_accuracy(self):
-        traj = fl.rk4_integrate(fl.round_handle_field(), np.array([0.0, 0.5]), 1e-3, 10.0)
+        traj = fl.rk4_integrate(fl.RoundHandleField(), np.array([0.0, 0.5]), 1e-3, 10.0)
         assert abs(traj.end[1] - 0.5 * math.exp(-10.0)) < 1e-6
 
     def test_fourth_order_convergence(self):
-        report, _ = fl.verify_round_handle()
+        report = fl.verify_round_handle()
         assert report["order_ratio"] >= 8.0
 
     def test_step_validation(self):
-        field = fl.round_handle_field()
+        field = fl.RoundHandleField()
         with pytest.raises(ValueError):
             fl.rk4_integrate(field, np.array([0.0, 0.0]), 2.0, 1.0)
         with pytest.raises(ValueError):
@@ -84,11 +84,11 @@ class TestRk4:
                                       (1e-3, math.nan), (math.nan, 1.0)])
     def test_non_finite_step_or_time_rejected(self, dt, T):
         with pytest.raises(ValueError, match="need 0 < dt <= T"):
-            fl.rk4_integrate(fl.round_handle_field(), np.array([0.0, 0.0]), dt, T)
+            fl.rk4_integrate(fl.RoundHandleField(), np.array([0.0, 0.0]), dt, T)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            fl.rk4_integrate(fl.round_handle_field(), np.array([0.0, 0.0, 0.0]), 0.1, 1.0)
+            fl.rk4_integrate(fl.RoundHandleField(), np.array([0.0, 0.0, 0.0]), 0.1, 1.0)
 
     def test_non_finite_detected(self):
         class Exploding:
@@ -103,7 +103,7 @@ class TestRk4:
             fl.rk4_integrate(Exploding(), np.array([0.0]), 0.1, 1.0)
 
     def test_batched_points(self):
-        field = fl.round_handle_field()
+        field = fl.RoundHandleField()
         starts = np.zeros((7, 2))
         starts[:, 1] = np.linspace(-0.5, 0.5, 7)
         traj = fl.rk4_integrate(field, starts, 1e-2, 1.0)
@@ -481,14 +481,14 @@ class TestCollar:
 
 class TestRoundHandleReport:
     def test_verify_round_handle(self):
-        report, orbits = fl.verify_round_handle()
+        report = fl.verify_round_handle()
         assert report["pass"]
         assert report["orbits"][0]["closure_error"] < 1e-9
         assert report["decay_error"] < 1e-6
-        assert len(orbits) == 1
+        assert len(report["orbits"]) == 1
 
     def test_contraction_bound(self):
-        traj = fl.rk4_integrate(fl.round_handle_field(), np.array([0.0, 0.5]), 1e-3, 10.0)
+        traj = fl.rk4_integrate(fl.RoundHandleField(), np.array([0.0, 0.5]), 1e-3, 10.0)
         assert abs(traj.end[1]) < 1e-4 * 0.5
 
 
@@ -524,11 +524,11 @@ class TestNumericsMatchReference:
         assert np.array_equal(got.times, want.times) and got.step == want.step
 
     def test_round_handle_point_and_batch(self):
-        field = fl.round_handle_field()
+        field = fl.RoundHandleField()
         self.assert_same_trajectory(field, np.array([0.7, 0.5]), 1e-3, 10.0)
         starts = np.stack([np.linspace(-0.3, 2.9, 9), np.linspace(-0.5, 0.5, 9)], axis=-1)
         self.assert_same_trajectory(field, starts, 1e-2, 3.0)
-        self.assert_same_trajectory(fl.round_handle_field("repelling"), starts, 1e-2, 3.0)
+        self.assert_same_trajectory(fl.RoundHandleField("repelling"), starts, 1e-2, 3.0)
 
     @pytest.mark.parametrize("lam", [2, -2, 3, 5, 20, 21, -21])
     def test_torus_row_signed_batch(self, lam):
@@ -581,7 +581,7 @@ class TestNumericsMatchReference:
         assert got == want and got.endswith(f"step {k}")
 
     @pytest.mark.parametrize("field,x0", [
-        (fl.round_handle_field(), np.array([0.0, np.nan])),
+        (fl.RoundHandleField(), np.array([0.0, np.nan])),
         (fl.TorusChartField(3), np.array([np.inf, 0.0, 0.0])),
         (fl._RowSigned(fl.TorusChartField(2), (1.0, -1.0)), np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]])),
     ], ids=["round-handle", "torus", "row-signed-batch"])
@@ -594,4 +594,4 @@ class TestNumericsMatchReference:
         # the round handle's field never reads t, so a per-step check of the
         # increment passes a nan t along; the final-state check does not
         with pytest.raises(NonFinite, match="step 0$"):
-            fl.rk4_integrate(fl.round_handle_field(), np.array([np.nan, 0.5]), 1e-3, 1.0)
+            fl.rk4_integrate(fl.RoundHandleField(), np.array([np.nan, 0.5]), 1e-3, 1.0)

@@ -14,6 +14,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_homology
 from msflow import homology
 from msflow.errors import DimensionMismatch, MalformedSpec
 from msflow.homology import (
@@ -458,3 +459,67 @@ class TestSparseEliminationMatchesDenseSNF:
         group = group_from_presentation(a, _names(a.cols))
         assert group.free_rank == a.cols - len(diag)
         assert group.invariant_factors == tuple(d for d in diag if d > 1)
+
+
+@st.composite
+def seifert_classes(draw):
+    """A closed manifold or piece with fibers of either sign of q, and a
+    class on it whose coefficients include zeros and negatives."""
+    genus = draw(st.integers(min_value=0, max_value=3))
+    fibers = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        p = draw(st.sampled_from((-7, -5, -3, -2, 2, 3, 4, 5, 7)))
+        q = draw(st.integers(min_value=-9, max_value=9).filter(lambda q: q and math.gcd(p, q) == 1))
+        fibers.append(SurgeryCoefficient(p, q))
+    if draw(st.booleans()):
+        m = SeifertClosed(genus, draw(st.integers(min_value=-3, max_value=3)), tuple(fibers))
+        tau = None
+    else:
+        m = SeifertPiece(genus, draw(st.integers(min_value=1, max_value=4)), tuple(fibers))
+        tau = draw(st.lists(st.integers(-5, 5), min_size=m.boundary - 1, max_size=m.boundary - 1))
+    lam = draw(st.lists(st.integers(-5, 5), min_size=genus, max_size=genus))
+    alpha = draw(st.lists(st.integers(-5, 5), min_size=m.n + 1, max_size=m.n + 1))
+    return m, HomologyClassExpr(tuple(lam), tuple(alpha), None if tau is None else tuple(tau))
+
+
+def _self_glued(rng):
+    """One piece whose 2k boundary slots are glued to each other in pairs."""
+    from msflow.selftest import _random_fibers, _random_unimodular
+
+    k = rng.randint(1, 3)
+    piece = SeifertPiece(rng.randint(0, 3), 2 * k, _random_fibers(rng, rng.randint(0, 3)))
+    slots = list(range(2 * k))
+    rng.shuffle(slots)
+    edges = tuple(Gluing(0, slots[2 * i], 0, slots[2 * i + 1], _random_unimodular(rng)) for i in range(k))
+    return GraphManifold((piece,), edges)
+
+
+class TestAgainstReferenceAssembly:
+    """The package writes each coefficient straight into its generator
+    column; tests/reference_homology.py sums full-width vectors."""
+
+    @given(mc=seifert_classes())
+    @settings(max_examples=200, deadline=None)
+    def test_expr_to_vector(self, mc):
+        m, c = mc
+        assert expr_to_vector(m, c) == reference_homology.expr_to_vector(m, c)
+
+    @given(seed=st.integers(min_value=0, max_value=10 ** 6), self_glued=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_graph_presentation_and_class_vector(self, seed, self_glued):
+        from msflow.selftest import random_graph_manifold
+
+        rng = random.Random(seed)
+        g = _self_glued(rng) if self_glued else random_graph_manifold(rng)
+        names, relations, _offsets, nontree = reference_homology.graph_presentation(g)
+        pres = graph_presentation(g)
+        assert (pres.generator_names, pres.relations, pres.nontree_edges) == (names, relations, nontree)
+        exprs = tuple(
+            HomologyClassExpr(
+                tuple(rng.randint(-4, 4) for _ in range(p.genus)),
+                tuple(rng.randint(-4, 4) for _ in range(p.n + 1)),
+                tuple(rng.randint(-4, 4) for _ in range(p.boundary - 1)))
+            for p in g.pieces)
+        cycles = tuple(rng.randint(-3, 3) for _ in nontree)
+        for cyc in (None, cycles):
+            assert graph_class_vector(g, exprs, cyc) == reference_homology.graph_class_vector(g, exprs, cyc)

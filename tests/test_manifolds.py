@@ -149,6 +149,11 @@ class TestHomologyClassExpr:
         with pytest.raises(MalformedSpec):
             HomologyClassExpr.from_json({"lambda": [], "alpha": [2], "sigma": [1]})
 
+    def test_from_json_rejects_the_orbit_piece_key(self):
+        # only a ledger's orbit documents carry "piece", and nothing parses them
+        with pytest.raises(MalformedSpec, match=r"unknown class keys \['piece'\]"):
+            HomologyClassExpr.from_json({"lambda": [], "alpha": [2, 2], "tau": [], "piece": 7})
+
 
 class TestValidateClass:
     def test_lengths_enforced(self):

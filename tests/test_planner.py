@@ -448,8 +448,10 @@ class TestReplay:
             o.to_json()["class"] for o in led.orbits]
 
     def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedSpec, match=r"^step 0 "):
             replay(({"op": "teleport"},))
+        with pytest.raises(MalformedSpec, match=r"^step 0 "):
+            replay(("lift",))
 
     def test_replay_is_deterministic(self):
         m = closed(3, 2, 3)
