@@ -26,15 +26,7 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import flowlab
-from .errors import (
-    DegenerateOverlap,
-    MsflowError,
-    NonFinite,
-    NothingToRepair,
-    OrbitNotClosed,
-    RepairFailed,
-    VanishingField,
-)
+from .errors import InvalidInput, ModelCheckFailed, MsflowError
 from .homology import (
     class_is_admissible,
     class_is_maximal,
@@ -51,7 +43,6 @@ from .manifolds import (
     maximal_class,
     parse_graph,
     parse_seifert,
-    validate_class,
 )
 from .planner import (
     bound_graph,
@@ -94,10 +85,6 @@ class CommandOutcome:
         if self.payload is None:
             return ""
         return json.dumps(self.payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-_VERIFY_FAILURES = (OrbitNotClosed, RepairFailed, NothingToRepair,
-                    VanishingField, NonFinite, DegenerateOverlap)
 
 
 def _build_parser() -> _Parser:
@@ -190,7 +177,7 @@ def _parse_class(m, text: str):
         return _parse_class_text(text), None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise _UsageError(f"class is neither 'max' nor valid JSON: {exc}") from None
     if not isinstance(doc, dict) or not set(doc) <= {"pieces", "cycles"}:
         raise _UsageError("graph class JSON must be {\"pieces\": [...], \"cycles\": [...]}")
@@ -233,9 +220,8 @@ def _cmd_plan(args) -> CommandOutcome:
     c, cycles = _parse_class(m, args.class_spec)
     for k, v in enumerate(cycles or ()):
         if v != 0:
-            message = (f"cycle coordinate {k} is {v}; classes with a nonzero "
-                       "cycle component are not realizable by these fields")
-            return CommandOutcome(1, {"error": message}, (message,))
+            raise InvalidInput(f"cycle coordinate {k} is {v}; classes with a nonzero "
+                               "cycle component are not realizable by these fields")
     ledger = plan_seifert(m, c) if cycles is None else plan_graph(m, c)
     if class_is_maximal(m, c):
         expected = _bound(m)
@@ -257,7 +243,6 @@ def _cmd_homology(args) -> CommandOutcome:
     if args.class_spec is None:
         return CommandOutcome(0, payload)
     c, cycles = _parse_class(m, args.class_spec)
-    validate_class(m, c)
     if cycles is None:
         vector = expr_to_vector(m, c)
         payload["class"] = c.to_json()
@@ -332,7 +317,7 @@ def run(argv) -> CommandOutcome:
         return CommandOutcome(0, {"usage": usage}, (parser.format_help().rstrip(),))
     except _UsageError as exc:
         return CommandOutcome(1, {"error": str(exc)}, (f"usage error: {exc}",))
-    except _VERIFY_FAILURES as exc:
+    except ModelCheckFailed as exc:
         return CommandOutcome(2, {"error": str(exc)}, (str(exc),))
     except (MsflowError, ValueError, OSError) as exc:
         return CommandOutcome(1, {"error": str(exc)}, (str(exc),))

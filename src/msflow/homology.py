@@ -36,6 +36,7 @@ from .manifolds import (
     SeifertPiece,
     _require_int,
     spanning_tree,
+    validate_class,
 )
 
 # Cached groups keep their elimination logs, one triple per row or column operation.
@@ -441,8 +442,10 @@ def expr_to_vector(m: SeifertClosed | SeifertPiece, c: HomologyClassExpr) -> tup
 
     beta_i is realized as the surface generator a_i; gamma_0 is the fiber h
     and gamma_j is r_j*mu_j + s_j*h with p_j*s_j - q_j*r_j = 1; delta_c is
-    its own generator (pieces only).
+    its own generator (pieces only).  A class not dimensioned for `m` raises
+    as in :func:`validate_class`.
     """
+    validate_class(m, c)
     vec = [0] * len(_generator_names(m))
     h = 2 * m.genus
     for i, coeff in enumerate(c.lam):
@@ -545,9 +548,7 @@ def graph_class_vector(
     coordinate that is not an int (a float, a bool, a string) raises
     MalformedSpec instead of being coerced."""
     pres = graph_presentation(g)
-    if len(per_piece) != g.l:
-        raise DimensionMismatch(f"expected {g.l} per-piece classes, got {len(per_piece)}")
-    vec = [x for pc, expr in zip(g.pieces, per_piece) for x in expr_to_vector(pc, expr)]
+    vec = [x for pc, expr in zip(g.pieces, validate_class(g, per_piece)) for x in expr_to_vector(pc, expr)]
     b1 = len(pres.nontree_edges)
     if cycles is None:
         return tuple(vec + [0] * b1)
@@ -573,11 +574,12 @@ def class_is_maximal(
     """Whether every constrained coefficient avoids {-1, 0, 1}.
 
     alpha_0 is exempt exactly when the manifold is closed with |e| = 1, since
-    that coefficient is forced to vanish there.
+    that coefficient is forced to vanish there.  A class not dimensioned
+    for `m` raises as in :func:`validate_class`.
     """
+    c = validate_class(m, c)
     if isinstance(m, GraphManifold):
         return all(class_is_maximal(pc, expr) for pc, expr in zip(m.pieces, c))  # type: ignore[arg-type]
-    assert isinstance(c, HomologyClassExpr)
     small = {-1, 0, 1}
     alpha = c.alpha
     if isinstance(m, SeifertClosed) and abs(m.euler) == 1:

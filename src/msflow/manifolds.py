@@ -415,7 +415,7 @@ def parse_graph(document: str) -> GraphManifold:
     """
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedSpec(f"invalid JSON: {exc}") from exc
     return graph_from_json(doc)
 

@@ -37,10 +37,12 @@ from dataclasses import dataclass, replace
 
 from .errors import (
     AlreadyAdjusted,
+    InvalidInput,
     MalformedSpec,
     NotFiberOrbit,
     SaddleInLink,
     SinglePiece,
+    StepRejected,
     UnknownTorus,
     ZeroCoefficient,
 )
@@ -569,8 +571,8 @@ def replay(steps, manifold=None, target_class=None) -> Ledger:
             _REPLAY[op](draft, step)
         except KeyError as exc:
             raise MalformedSpec(f"step {k} ({op}) has no field {exc}") from None
-        except (MalformedSpec, TypeError, ValueError) as exc:
+        except (InvalidInput, TypeError, ValueError) as exc:
             raise MalformedSpec(f"step {k} ({op}) is malformed: {exc}") from None
-        except (UnknownTorus, NotFiberOrbit, ZeroCoefficient, SaddleInLink, AlreadyAdjusted) as exc:
+        except StepRejected as exc:
             raise type(exc)(f"step {k} ({op}): {exc}") from None
     return draft.freeze()

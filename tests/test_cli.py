@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import msflow
-from msflow import cli
+from msflow import cli, errors
 from msflow.homology import graph_presentation
 from msflow.manifolds import GraphManifold, Gluing, SeifertPiece
 from msflow.selftest import _random_fibers, _random_unimodular, random_graph_manifold
@@ -423,3 +423,60 @@ class TestPlanBuildsOnlyWhatItReturns:
                        "--class", "max", "--out", str(target)])
         assert out.exit_code == 2
         assert not target.exists()
+
+
+class TestDeeplyNestedJson:
+    """Nesting deeper than the decoder's recursion limit is malformed input:
+    exit 1 with one error document, never a RecursionError traceback."""
+
+    def test_graph_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        out = cli.run(["bound", "graph", str(path)])
+        assert out.exit_code == 1
+        assert out.payload["error"].startswith("invalid JSON: ")
+
+    def test_graph_class(self, tmp_path):
+        out = cli.run(["homology", "graph", str(write_graph(tmp_path)), "--class", "[" * 60_000])
+        assert out.exit_code == 1
+        assert out.payload["error"].startswith("class is neither 'max' nor valid JSON: ")
+        assert out.diagnostics[0].startswith("usage error: ")
+
+    def test_fresh_process_prints_one_document(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        src = str(Path(msflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-m", "msflow", "bound", "graph", str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stdout.count("\n") == 1
+        assert set(json.loads(done.stdout)) == {"error"}
+        assert "Traceback" not in done.stderr
+
+
+GROUPS = (errors.InvalidInput, errors.StepRejected, errors.ModelCheckFailed)
+CONCRETE = [cls for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.MsflowError)
+            and cls not in (errors.MsflowError, *GROUPS)]
+
+
+class TestErrorGroups:
+    """errors.py's groups, not lists kept in cli.py, decide the exit code."""
+
+    def test_every_class_but_step_too_large_has_one_group(self):
+        assert len(CONCRETE) == 21
+        for cls in CONCRETE:
+            groups = [group for group in GROUPS if issubclass(cls, group)]
+            assert len(groups) == (0 if cls is errors.StepTooLarge else 1), cls.__name__
+
+    @pytest.mark.parametrize("error", CONCRETE, ids=lambda cls: cls.__name__)
+    def test_exit_code_follows_the_group(self, monkeypatch, error):
+        def failing(args):
+            raise error("it broke")
+
+        monkeypatch.setattr(cli, "_cmd_bound", failing)
+        out = cli.run(["bound", "seifert", "--genus", "0", "--euler", "2"])
+        assert out.exit_code == (2 if issubclass(error, errors.ModelCheckFailed) else 1)
+        assert out.stdout == '{"error":"it broke"}\n'
+        assert out.diagnostics == ("it broke",)

@@ -353,6 +353,12 @@ class TestClassMaximality:
         weak = (exprs[0], HomologyClassExpr((), (1,), ()))
         assert not class_is_maximal(g, weak)
 
+    def test_graph_class_with_too_few_pieces_raises(self):
+        chain = GraphManifold((SeifertPiece(0, 1, ()), SeifertPiece(0, 2, ()), SeifertPiece(0, 1, ())),
+                              (Gluing(0, 0, 1, 0, SWAP), Gluing(1, 1, 2, 0, SWAP)))
+        with pytest.raises(DimensionMismatch, match="expected 3 per-piece classes, got 1"):
+            class_is_maximal(chain, maximal_class(chain)[:1])
+
 
 class TestExprToVector:
     def test_beta_maps_to_surface_generator(self):
@@ -360,6 +366,10 @@ class TestExprToVector:
         vec = expr_to_vector(m, HomologyClassExpr((3, 5), (0,), None))
         # generators a1 b1 a2 b2 h
         assert vec == (3, 0, 5, 0, 0)
+
+    def test_overlong_class_raises(self):
+        with pytest.raises(DimensionMismatch, match="lambda has length 2, manifold genus is 1"):
+            expr_to_vector(closed(1, 2), HomologyClassExpr((1, 2), (0,), None))
 
     def test_gamma0_is_fiber(self):
         m = closed(0, 2)
@@ -479,6 +489,8 @@ def seifert_classes(draw):
         tau = draw(st.lists(st.integers(-5, 5), min_size=m.boundary - 1, max_size=m.boundary - 1))
     lam = draw(st.lists(st.integers(-5, 5), min_size=genus, max_size=genus))
     alpha = draw(st.lists(st.integers(-5, 5), min_size=m.n + 1, max_size=m.n + 1))
+    if isinstance(m, SeifertClosed) and abs(m.euler) == 1:
+        alpha[0] = 0  # the regular fiber is no basis element there
     return m, HomologyClassExpr(tuple(lam), tuple(alpha), None if tau is None else tuple(tau))
 
 

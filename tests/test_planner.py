@@ -484,6 +484,9 @@ GOOD_LIFT = {"op": "lift", "fibers": [["gamma0", "attracting", {"lambda": [], "a
 # the closed lift of a plan on SeifertClosed(1, 2, ()) and piece 0's lift of a graph plan
 CLOSED_LIFT = after_lift(closed(1, 2, 0)).steps[0]
 PIECE_LIFT = plan_graph(two_piece_graph(), maximal_class(two_piece_graph())).steps[0]
+# a lift whose classes differ in length, which no plan produces
+MIXED_LIFT = dict(GOOD_LIFT, fibers=[GOOD_LIFT["fibers"][0],
+                                     ["gamma1", "repelling", {"lambda": [], "alpha": [0, 1]}]])
 
 
 @pytest.mark.parametrize("steps", [
@@ -505,11 +508,12 @@ PIECE_LIFT = plan_graph(two_piece_graph(), maximal_class(two_piece_graph())).ste
     )),
     (CLOSED_LIFT, CLOSED_LIFT),
     (PIECE_LIFT, CLOSED_LIFT),
+    (MIXED_LIFT, reverse(0, 1)),
 ], ids=["destroy-no-fields", "lift-no-fields", "wada5-no-q", "reverse-no-link",
         "lift-entry-arity", "lift-fibers-scalar", "lift-empty", "lift-label-space",
         "lift-fractional-coefficient", "lift-piece-out-of-order", "reverse-float-id",
         "reverse-string-id", "reverse-bool-id", "lift-piece-after-closed",
-        "lift-closed-repeated", "lift-closed-after-piece"])
+        "lift-closed-repeated", "lift-closed-after-piece", "reverse-mixed-lengths"])
 def test_malformed_step_names_its_index_and_op(steps):
     with pytest.raises(MalformedSpec, match=rf"^step 1 \({steps[1]['op']}\)"):
         replay(steps)
