@@ -39,6 +39,7 @@ from .manifolds import (
     GraphManifold,
     HomologyClassExpr,
     SeifertClosed,
+    _brief,
     _require_int,
     maximal_class,
     parse_graph,
@@ -155,11 +156,11 @@ def _parse_class_text(text: str) -> HomologyClassExpr:
         key, sep, values = part.partition("=")
         key = key.strip()
         if not sep or key not in ("lambda", "alpha", "tau") or key in doc:
-            raise _UsageError(f"bad class component {part!r}")
+            raise _UsageError(f"bad class component {_brief(part)}")
         try:
             doc[key] = tuple(int(v) for v in values.split(",") if v.strip())
         except ValueError:
-            raise _UsageError(f"non-integer coefficient in {part!r}") from None
+            raise _UsageError(f"non-integer coefficient in {_brief(part)}") from None
     if "lambda" not in doc or "alpha" not in doc:
         raise _UsageError("a class needs lambda=... and alpha=... components (or 'max')")
     return HomologyClassExpr(doc["lambda"], doc["alpha"], doc.get("tau"))
@@ -203,9 +204,9 @@ def _tolerance() -> float:
     try:
         tol = float(raw)
     except ValueError:
-        raise _UsageError(f"MSFLOW_TOL={raw!r} is not a number") from None
+        raise _UsageError(f"MSFLOW_TOL={_brief(raw)} is not a number") from None
     if not 0 < tol < float("inf"):  # also false for nan, so nan is rejected too
-        raise _UsageError(f"MSFLOW_TOL={raw!r} must be positive and finite")
+        raise _UsageError(f"MSFLOW_TOL={_brief(raw)} must be positive and finite")
     return tol
 
 

@@ -43,16 +43,22 @@ from .errors import (
 GluingMatrix = tuple[tuple[int, int], tuple[int, int]]
 
 
+def _brief(value: object) -> str:
+    """repr(value), cut to 200 characters so that an error echoing input stays small."""
+    text = repr(value)
+    return text if len(text) <= 200 else text[:197] + "..."
+
+
 def _require_int(value: object, what: str) -> int:
     # bool is an int subclass but never a meaningful coefficient
     if not isinstance(value, int) or isinstance(value, bool):
-        raise MalformedSpec(f"{what} must be an integer, got {value!r}")
+        raise MalformedSpec(f"{what} must be an integer, got {_brief(value)}")
     return value
 
 
 def _require_list(value: object, what: str) -> "list | tuple":
     if not isinstance(value, (list, tuple)):
-        raise MalformedSpec(f"{what} must be a list, got {value!r}")
+        raise MalformedSpec(f"{what} must be a list, got {_brief(value)}")
     return value
 
 
@@ -86,7 +92,7 @@ def _coerce_fibers(fibers: object) -> tuple[SurgeryCoefficient, ...]:
             try:
                 p, q = item  # type: ignore[misc]
             except (TypeError, ValueError) as exc:
-                raise MalformedSpec(f"fiber entry {item!r} is not a (p, q) pair") from exc
+                raise MalformedSpec(f"fiber entry {_brief(item)} is not a (p, q) pair") from exc
             out.append(SurgeryCoefficient(_require_int(p, "numerator"), _require_int(q, "denominator")))
     return tuple(out)
 
@@ -164,12 +170,12 @@ class Gluing:
         try:
             (a, b), (c, d) = self.matrix
         except (TypeError, ValueError) as exc:
-            raise BadGluingMatrix(f"gluing matrix {self.matrix!r} is not 2x2") from exc
+            raise BadGluingMatrix(f"gluing matrix {_brief(self.matrix)} is not 2x2") from exc
         for v in (a, b, c, d):
             if not isinstance(v, int) or isinstance(v, bool):
-                raise BadGluingMatrix(f"gluing matrix entry {v!r} is not an integer")
+                raise BadGluingMatrix(f"gluing matrix entry {_brief(v)} is not an integer")
         if abs(a * d - b * c) != 1:
-            raise BadGluingMatrix(f"gluing matrix {self.matrix!r} has determinant {a * d - b * c}")
+            raise BadGluingMatrix(f"gluing matrix {_brief(self.matrix)} has determinant {a * d - b * c}")
         object.__setattr__(self, "matrix", ((a, b), (c, d)))
 
     def to_json(self) -> list:
@@ -218,7 +224,7 @@ class GraphManifold:
             raise MalformedSpec("a graph manifold needs at least one piece")
         for pc in pieces:
             if not isinstance(pc, SeifertPiece):
-                raise MalformedSpec(f"piece {pc!r} is not a SeifertPiece")
+                raise MalformedSpec(f"piece {_brief(pc)} is not a SeifertPiece")
         edges = tuple(e if isinstance(e, Gluing) else Gluing(*e) for e in self.edges)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "edges", edges)
@@ -310,10 +316,10 @@ class HomologyClassExpr:
     @staticmethod
     def from_json(doc: dict) -> "HomologyClassExpr":
         if not isinstance(doc, dict):
-            raise MalformedSpec(f"class document {doc!r} is not an object")
+            raise MalformedSpec(f"class document {_brief(doc)} is not an object")
         unknown = set(doc) - {"lambda", "alpha", "tau"}
         if unknown:
-            raise MalformedSpec(f"unknown class keys {sorted(unknown)}")
+            raise MalformedSpec(f"unknown class keys {_brief(sorted(unknown))}")
         return HomologyClassExpr(
             tuple(_require_list(doc.get("lambda", []), "class 'lambda'")),
             tuple(_require_list(doc.get("alpha", []), "class 'alpha'")),
@@ -385,7 +391,7 @@ def parse_seifert(text: str) -> SeifertClosed:
     """
     match = _SEIFERT_RE.match(text.strip())
     if match is None:
-        raise MalformedSpec(f"cannot parse Seifert description {text!r}")
+        raise MalformedSpec(f"cannot parse Seifert description {_brief(text)}")
     genus, euler, fibers_text = int(match.group(1)), int(match.group(2)), match.group(3)
     fibers = []
     if fibers_text is not None:
@@ -394,7 +400,7 @@ def parse_seifert(text: str) -> SeifertClosed:
         for part in fibers_text.split(";"):
             frac = _FRACTION_RE.match(part.strip())
             if frac is None:
-                raise MalformedSpec(f"cannot parse surgery coefficient {part!r}")
+                raise MalformedSpec(f"cannot parse surgery coefficient {_brief(part)}")
             fibers.append(SurgeryCoefficient(int(frac.group(1)), int(frac.group(2))))
     return SeifertClosed(genus, euler, tuple(fibers))
 
@@ -425,16 +431,16 @@ def graph_from_json(doc: object) -> GraphManifold:
         raise MalformedSpec("graph document must be a JSON object")
     unknown = set(doc) - {"pieces", "edges"}
     if unknown:
-        raise MalformedSpec(f"unknown graph keys {sorted(unknown)}")
+        raise MalformedSpec(f"unknown graph keys {_brief(sorted(unknown))}")
     if "pieces" not in doc:
         raise MalformedSpec("graph document lacks a 'pieces' list")
     pieces = []
     for raw in _require_list(doc["pieces"], "'pieces'"):
         if not isinstance(raw, dict):
-            raise MalformedSpec(f"piece entry {raw!r} is not an object")
+            raise MalformedSpec(f"piece entry {_brief(raw)} is not an object")
         bad = set(raw) - {"genus", "boundary", "fibers"}
         if bad:
-            raise MalformedSpec(f"unknown piece keys {sorted(bad)}")
+            raise MalformedSpec(f"unknown piece keys {_brief(sorted(bad))}")
         try:
             genus = raw["genus"]
             boundary = raw["boundary"]
@@ -446,11 +452,11 @@ def graph_from_json(doc: object) -> GraphManifold:
         try:
             pi, bi, pj, bj, matrix = raw
         except (TypeError, ValueError) as exc:
-            raise MalformedSpec(f"edge entry {raw!r} is not [pi, bi, pj, bj, matrix]") from exc
+            raise MalformedSpec(f"edge entry {_brief(raw)} is not [pi, bi, pj, bj, matrix]") from exc
         try:
             matrix = tuple(tuple(row) for row in matrix)
         except TypeError as exc:
-            raise BadGluingMatrix(f"gluing matrix {matrix!r} is not 2x2") from exc
+            raise BadGluingMatrix(f"gluing matrix {_brief(matrix)} is not 2x2") from exc
         edges.append(Gluing(pi, bi, pj, bj, matrix))  # type: ignore[arg-type]
     return GraphManifold(tuple(pieces), tuple(edges))
 

@@ -26,11 +26,15 @@ The plans and :func:`replay` apply every step the same way, appending
 :class:`OrbitRecord` values to a private draft that is frozen into an
 immutable :class:`Ledger`; the step descriptors are plain JSON-safe dicts,
 and :func:`replay` rebuilds the identical orbit list from them alone.
+
+A lift document is checked once, as the draft takes it: exactly the keys
+op, fibers, saddles and tori; distinct labels naming one block, the next in
+order; attracting or repelling fibers and tori; classes of one shape.  The
+draft writes every other step itself, and :func:`replay` takes no other.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
@@ -51,6 +55,7 @@ from .manifolds import (
     HomologyClassExpr,
     SeifertClosed,
     SeifertPiece,
+    _brief,
     _require_int,
     validate_class,
 )
@@ -59,10 +64,8 @@ ATTRACTING = "attracting"
 REPELLING = "repelling"
 SADDLE = "saddle"
 
-_PROVENANCES = frozenset(
-    {"lift", "torus_destruction", "wada5_cable", "wada5_survivor", "reversal", "homotopy_adjust"})
-
-_LIFT_LABEL = re.compile(r"^(?:p(0|[1-9]\d*)\.)?(gamma|aux|saddle|beta|delta|adjust)(0|[1-9]\d*)$")
+_LIFT_KEYS = {"op", "fibers", "saddles", "tori"}
+_LIFT_LABEL = re.compile(r"^(?:p(0|[1-9]\d*)\.)?(gamma|aux|saddle|beta|delta)(0|[1-9]\d*)$")
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +203,6 @@ def _label(piece: int | None, role: str, index: int, suffix: str | None = None) 
     return label if suffix is None else f"{label}.{suffix}"
 
 
-def _parse_lift_label(label: object) -> dict:
-    """Inverse of :func:`_label` on the labels of a serialized lift step,
-    which never carry a suffix."""
-    m = _LIFT_LABEL.match(label) if isinstance(label, str) else None
-    if m is None:
-        raise MalformedSpec(f"lift label {label!r} is not [p<piece>.]<role><index>")
-    piece = None if m.group(1) is None else int(m.group(1))
-    return {"piece": piece, "role": m.group(2), "index": int(m.group(3))}
-
-
 # ---------------------------------------------------------------------------
 # Classes per block: the one place where closed and graph plans differ.
 # Internally a dict maps the closed block (key None) or graph pieces 0..l-1
@@ -247,18 +240,6 @@ class OrbitRecord:
     piece: int | None = None
     suffix: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in (ATTRACTING, REPELLING, SADDLE):
-            raise ValueError(f"unknown orbit kind {self.kind!r}")
-        if self.provenance not in _PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.provenance == "wada5_cable":
-            if self.cable is None:
-                raise ValueError("cable records must carry their (p, q) pair")
-            p, q = self.cable
-            if math.gcd(abs(p), abs(q)) != 1:
-                raise ValueError(f"cable pair {self.cable} is not coprime")
-
     @property
     def label(self) -> str:
         return _label(self.piece, self.role, self.index, self.suffix)
@@ -280,21 +261,6 @@ class OrbitRecord:
 
 
 @dataclass(frozen=True)
-class InvariantTorus:
-    """Marker for an invariant torus awaiting destruction, named like an orbit."""
-
-    role: str
-    index: int
-    base_kind: str
-    unit_class: HomologyClassExpr
-    piece: int | None = None
-
-    @property
-    def label(self) -> str:
-        return _label(self.piece, self.role, self.index)
-
-
-@dataclass(frozen=True)
 class Ledger:
     """Audit trail of the construction.
 
@@ -303,7 +269,8 @@ class Ledger:
     flow reversal: one expression for a closed manifold or lone piece, a
     tuple with one expression per piece for a graph manifold.  Orbit labels
     read ``p<i>.<role><index>[.<suffix>]``, without ``p<i>.`` in the closed
-    block and on the adjustment orbits.
+    block and on the adjustment orbits; no two orbits share a label.  Every
+    step but a lift is the document the draft writes for it.
     """
 
     manifold: "SeifertClosed | SeifertPiece | GraphManifold | None" = None
@@ -333,7 +300,8 @@ class Ledger:
 class _Draft:
     """A ledger under construction, extended in place, with orbits and tori
     indexed by label; each method applies one construction step, for the
-    plans and :func:`replay` alike."""
+    plans and :func:`replay` alike.  A torus awaiting destruction maps its
+    label to its base orbit's kind, its unit class and its name."""
 
     def __init__(self, manifold, target_class) -> None:
         self.manifold = manifold
@@ -341,7 +309,7 @@ class _Draft:
         self.steps: list[dict] = []
         self.orbits: list[OrbitRecord] = []
         self.position: dict[str, int] = {}
-        self.tori: dict[str, InvariantTorus] = {}
+        self.tori: dict[str, tuple[str, HomologyClassExpr, dict]] = {}
         self.d2: dict = {}
         self.adjusted = False
 
@@ -350,30 +318,48 @@ class _Draft:
                       _shaped(self.d2))
 
     def _append(self, orbit: OrbitRecord) -> None:
-        self.position.setdefault(orbit.label, len(self.orbits))
+        self.position[orbit.label] = len(self.orbits)
         self.orbits.append(orbit)
 
     def lift(self, step: dict) -> None:
-        """Append one block's lifted skeleton: fiber orbits, saddles and invariant tori."""
-        orbits = [(label, kind, cls) for label, kind, cls in step["fibers"]]
-        orbits += [(label, SADDLE, cls) for label, cls in step["saddles"]]
-        tori = step["tori"]
-        if not orbits and not tori:
+        """Append one block's lifted skeleton: fiber orbits, saddles and invariant tori.
+        Each entry is checked as it is parsed, and nothing checks a lift again."""
+        if step.keys() != _LIFT_KEYS:
+            raise MalformedSpec(f"lift keys {_brief(list(step))} are not op, fibers, saddles and tori")
+        entries = [(label, kind, cls, False) for label, kind, cls in step["fibers"]]
+        entries += [(label, kind, cls, True) for label, kind, cls in step["tori"]]
+        for label, kind, _cls, _torus in entries:
+            if kind not in (ATTRACTING, REPELLING):
+                raise MalformedSpec(f"lift entry {_brief(label)} is neither attracting nor repelling")
+        entries += [(label, SADDLE, cls, False) for label, cls in step["saddles"]]
+        if not entries:
             raise MalformedSpec("lift step carries no orbits, saddles, or tori")
-        label, _kind, sample = (orbits or tori)[0]
-        piece = _parse_lift_label(label)["piece"]
-        if piece not in (None, len(self.d2)):
-            raise MalformedSpec(f"lift for piece {piece} arrived out of order")
-        if self.d2 and (piece is None or None in self.d2):
-            raise MalformedSpec("a closed lift must be the only lift")
-        self.d2.setdefault(piece, HomologyClassExpr.from_json(sample).scale(0))
-        for label, kind, cls in orbits:
-            self._append(OrbitRecord(len(self.orbits), kind, orbit_class=HomologyClassExpr.from_json(cls),
-                                     provenance="lift", **_parse_lift_label(label)))
-        for label, kind, unit in tori:
-            marker = InvariantTorus(base_kind=kind, unit_class=HomologyClassExpr.from_json(unit),
-                                    **_parse_lift_label(label))
-            self.tori.setdefault(label, marker)
+        for k, (label, kind, cls, torus) in enumerate(entries):
+            m = _LIFT_LABEL.match(label) if isinstance(label, str) else None
+            if m is None:
+                raise MalformedSpec(f"lift label {_brief(label)} is not [p<piece>.]<role><index>")
+            name = {"piece": None if m.group(1) is None else int(m.group(1)),
+                    "role": m.group(2), "index": int(m.group(3))}
+            c = HomologyClassExpr.from_json(cls)
+            shape = (len(c.lam), len(c.alpha), None if c.tau is None else len(c.tau))
+            if k == 0:
+                piece, first_shape = name["piece"], shape
+                if piece not in (None, len(self.d2)):
+                    raise MalformedSpec(f"lift for piece {piece} arrived out of order")
+                if self.d2 and (piece is None or None in self.d2):
+                    raise MalformedSpec("a closed lift must be the only lift")
+                self.d2[piece] = c.scale(0)
+            elif name["piece"] != piece:
+                raise MalformedSpec(f"lift label {_brief(label)} names another block")
+            if shape != first_shape:
+                raise MalformedSpec(f"lift entry {_brief(label)} has class shape {shape}, not {first_shape}")
+            # earlier lifts are of other blocks, so only this lift can hold the label
+            if label in self.position or label in self.tori:
+                raise MalformedSpec(f"lift label {_brief(label)} repeats")
+            if torus:
+                self.tori[label] = (kind, c, name)
+            else:
+                self._append(OrbitRecord(len(self.orbits), kind, orbit_class=c, provenance="lift", **name))
         self.steps.append(step)
 
     def destroy(self, label: str, lam: int) -> None:
@@ -381,12 +367,12 @@ class _Draft:
         lambda*[label], one keeping the base orbit's stability, the companion a saddle."""
         if not isinstance(lam, int) or isinstance(lam, bool) or lam == 0:
             raise ValueError("torus destruction needs a nonzero integer coefficient")
-        marker = self.tori.pop(label, None)
-        if marker is None:
-            raise UnknownTorus(f"no invariant torus labeled {label!r}")
-        cls = marker.unit_class.scale(lam)
-        orbit = OrbitRecord(len(self.orbits), marker.base_kind, marker.role, marker.index, cls,
-                            "torus_destruction", piece=marker.piece)
+        torus = self.tori.pop(label, None)
+        if torus is None:
+            raise UnknownTorus(f"no invariant torus labeled {_brief(label)}")
+        kind, unit, name = torus
+        orbit = OrbitRecord(len(self.orbits), kind, orbit_class=unit.scale(lam),
+                            provenance="torus_destruction", **name)
         self._append(orbit)
         self._append(replace(orbit, id=len(self.orbits), kind=SADDLE, suffix="saddle"))
         self.steps.append({"op": "destroy_torus", "torus": label, "lambda": lam})
@@ -400,7 +386,7 @@ class _Draft:
             raise ZeroCoefficient("Wada's operation needs a nonzero cable coefficient")
         index = self.position.get(label)
         if index is None:
-            raise NotFiberOrbit(f"no orbit labeled {label!r}")
+            raise NotFiberOrbit(f"no orbit labeled {_brief(label)}")
         orb = self.orbits[index]
         if orb.provenance != "lift" or orb.kind == SADDLE or orb.role != "gamma":
             raise NotFiberOrbit(f"orbit {label!r} is not an attracting or repelling fiber lift")
@@ -506,8 +492,8 @@ def _plan(manifold: "SeifertClosed | SeifertPiece | GraphManifold",
         start = len(draft.orbits)
         draft.lift(_lift_step_doc(m, piece))
         lifted = draft.orbits[start:]
-        for torus in list(draft.tori.values()):
-            draft.destroy(torus.label, _coefficient(c, torus.role, torus.index) or 1)
+        for label, (_kind, _unit, name) in list(draft.tori.items()):
+            draft.destroy(label, _coefficient(c, name["role"], name["index"]) or 1)
         for orb in lifted:
             if orb.role == "gamma" and c.alpha[orb.index] not in (0, 1):
                 draft.wada5(orb.label, c.alpha[orb.index])
@@ -558,15 +544,16 @@ def replay(steps, manifold=None, target_class=None) -> Ledger:
 
     The orbit list, totals, and d2 accumulation depend only on the steps, so
     replaying a ledger's steps reproduces its orbits exactly.  A malformed
-    step (not an object, an unknown op, missing or ill-shaped fields) raises
-    MalformedSpec naming the step's index and, when known, its op; a step
-    the construction rejects keeps its error type behind the same prefix.
+    step (not an object, an unknown op, missing, extra or ill-shaped fields,
+    or any document other than the one the construction writes for it)
+    raises MalformedSpec naming the step's index and, when known, its op; a
+    step the construction rejects keeps its error type behind the same prefix.
     """
     draft = _Draft(manifold, target_class)
     for k, step in enumerate(steps):
         op = step.get("op") if isinstance(step, dict) else None
         if not isinstance(op, str) or op not in _REPLAY:
-            raise MalformedSpec(f"step {k} has no known op: {step!r}")
+            raise MalformedSpec(f"step {k} has no known op: {_brief(step)}")
         try:
             _REPLAY[op](draft, step)
         except KeyError as exc:
@@ -575,4 +562,6 @@ def replay(steps, manifold=None, target_class=None) -> Ledger:
             raise MalformedSpec(f"step {k} ({op}) is malformed: {exc}") from None
         except StepRejected as exc:
             raise type(exc)(f"step {k} ({op}): {exc}") from None
+        if draft.steps[-1] != step:
+            raise MalformedSpec(f"step {k} ({op}) should read {_brief(draft.steps[-1])}")
     return draft.freeze()

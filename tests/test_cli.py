@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -366,6 +367,25 @@ def test_non_list_json_is_an_input_error(tmp_path, capsys, graph, class_doc):
     code = cli.main(argv)
     assert code == 1
     assert set(json.loads(capsys.readouterr().out)) == {"error"}
+
+
+@pytest.mark.parametrize("graph,error", [
+    ({"pieces": ["x" * 10**6]}, r"piece entry 'x+\.\.\. is not an object"),
+    ({"pieces": [dict(PIECE, fibers=[["7" * 200_000, 1]]), PIECE], "edges": [GLUE]},
+     r"numerator must be an integer, got '7+\.\.\."),
+    ({"pieces": ["x" * 180]}, r"piece entry 'x{180}' is not an object"),
+], ids=["piece-entry", "fiber-numerator", "short-entry"])
+def test_error_documents_stay_small(tmp_path, capsys, graph, error):
+    """An error echoes an input entry whole up to 200 characters and cut
+    beyond, keeping the explanation, so each stream gets under 1 KB."""
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    code = cli.main(["bound", "graph", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.out.encode()) < 1024 and len(captured.err.encode()) < 1024
+    assert captured.out.count("\n") == 1
+    assert re.fullmatch(error, json.loads(captured.out)["error"])
 
 
 def write_cycle_graph(tmp_path):

@@ -487,10 +487,14 @@ PIECE_LIFT = plan_graph(two_piece_graph(), maximal_class(two_piece_graph())).ste
 # a lift whose classes differ in length, which no plan produces
 MIXED_LIFT = dict(GOOD_LIFT, fibers=[GOOD_LIFT["fibers"][0],
                                      ["gamma1", "repelling", {"lambda": [], "alpha": [0, 1]}]])
+# CLOSED_LIFT with its beta1 torus of a kind that no skeleton has
+SIDEWAYS_LIFT = dict(CLOSED_LIFT, tori=[[label, "sideways", unit]
+                                        for label, _kind, unit in CLOSED_LIFT["tori"]])
 
 
-@pytest.mark.parametrize("steps", [
-    *((GOOD_LIFT, step) for step in (
+# each case is (steps, index of the step at fault)
+@pytest.mark.parametrize("steps,k", [
+    *(((GOOD_LIFT, step), 1) for step in (
         {"op": "destroy_torus"},
         {"op": "lift"},
         {"op": "wada5", "orbit": "gamma1"},
@@ -506,16 +510,26 @@ MIXED_LIFT = dict(GOOD_LIFT, fibers=[GOOD_LIFT["fibers"][0],
         {"op": "reverse_link", "link": [False]},
         dict(GOOD_LIFT, fibers=[["p1.gamma0", "attracting", {"lambda": [], "alpha": [1]}]]),
     )),
-    (CLOSED_LIFT, CLOSED_LIFT),
-    (PIECE_LIFT, CLOSED_LIFT),
-    (MIXED_LIFT, reverse(0, 1)),
+    ((CLOSED_LIFT, CLOSED_LIFT), 1),
+    ((PIECE_LIFT, CLOSED_LIFT), 1),
+    ((MIXED_LIFT, reverse(0, 1)), 0),
+    ((SIDEWAYS_LIFT, destroy("beta1", 1)), 0),
+    ((dict(GOOD_LIFT, fibers=[["gamma0", "saddle", {"lambda": [], "alpha": [1]}]]),), 0),
+    ((dict(GOOD_LIFT, fibers=GOOD_LIFT["fibers"] * 2),), 0),
+    ((dict(PIECE_LIFT, fibers=[*PIECE_LIFT["fibers"],
+                               ["p5.gamma1", "attracting", PIECE_LIFT["fibers"][0][2]]]),), 0),
+    ((dict(GOOD_LIFT, bogus=1),), 0),
+    ((GOOD_LIFT, dict(wada5("gamma0", 2), p=7)), 1),
+    ((CLOSED_LIFT, dict(destroy("beta1", 1), bogus=1)), 1),
 ], ids=["destroy-no-fields", "lift-no-fields", "wada5-no-q", "reverse-no-link",
         "lift-entry-arity", "lift-fibers-scalar", "lift-empty", "lift-label-space",
         "lift-fractional-coefficient", "lift-piece-out-of-order", "reverse-float-id",
         "reverse-string-id", "reverse-bool-id", "lift-piece-after-closed",
-        "lift-closed-repeated", "lift-closed-after-piece", "reverse-mixed-lengths"])
-def test_malformed_step_names_its_index_and_op(steps):
-    with pytest.raises(MalformedSpec, match=rf"^step 1 \({steps[1]['op']}\)"):
+        "lift-closed-repeated", "lift-closed-after-piece", "reverse-mixed-lengths",
+        "lift-torus-kind", "lift-saddle-fiber", "lift-repeated-label", "lift-mixed-pieces",
+        "lift-extra-key", "wada5-p", "destroy-extra-key"])
+def test_malformed_step_names_its_index_and_op(steps, k):
+    with pytest.raises(MalformedSpec, match=rf"^step {k} \({steps[k]['op']}\)"):
         replay(steps)
 
 
