@@ -64,6 +64,11 @@ class _HelpRequested(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> "None":  # type: ignore[override]
+        # argparse echoes a bad value whole: cut the message to 200 characters as
+        # _brief cuts echoed input, but keep both ends, since the explanation comes
+        # before the value and, for a bad choice, the choices after it
+        if len(message) > 200:
+            message = message[:100] + "..." + message[-97:]
         raise _UsageError(message)
 
     def print_help(self, file=None) -> None:

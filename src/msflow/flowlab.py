@@ -147,7 +147,12 @@ class _RowSigned:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled integral curve: times[i] = i*step, points[i] the chart point
-    (circle coordinates wrapped into [0, 1))."""
+    (circle coordinates wrapped into [0, 1)).
+
+    `times` always holds every sample time.  An integration that did not keep
+    its path stores only points = (start, end), stacked on a first axis of
+    length 2, so start and end read the same either way.
+    """
 
     times: np.ndarray
     points: np.ndarray
@@ -174,7 +179,7 @@ def wrapped_distance(a: np.ndarray, b: np.ndarray, circle_mask) -> float:
     return float(np.max(np.abs(wrapped_delta(a, b, circle_mask))))
 
 
-def rk4_integrate(field, x0, dt: float, T: float) -> Trajectory:
+def rk4_integrate(field, x0, dt: float, T: float, keep_path: bool = True) -> Trajectory:
     """Classical Runge-Kutta 4 with circle coordinates wrapped each step.
 
     dt and T must be finite with 0 < dt <= T.  The step count is
@@ -182,11 +187,14 @@ def rk4_integrate(field, x0, dt: float, T: float) -> Trajectory:
     are not wrapped mid-step; all chart fields here are periodic in their
     circle coordinates, which keeps stages smooth across the seam.
 
-    Each step is written straight into the preallocated trajectory.  A
-    non-finite coordinate stays non-finite under x + step and the wrap, so
-    finiteness is checked once, on the final state; only then is the first
-    non-finite state searched for, and NonFinite names the step that led
-    to it (step 0 for a non-finite start).
+    Each step is written straight into a preallocated array: the whole
+    trajectory, or with keep_path=False only two rows, the start and the
+    current state, which is stepped in place.  Both give the same floats
+    at every step.  A non-finite coordinate stays non-finite under
+    x + step and the wrap, so finiteness is checked once, on the final
+    state; only then is the first non-finite state searched for, and
+    NonFinite names the step that led to it (step 0 for a non-finite
+    start).  Without the path, that search first integrates again with it.
     """
     if not 0 < dt <= T < math.inf:  # also false for nan
         raise ValueError("need 0 < dt <= T, both finite")
@@ -195,12 +203,13 @@ def rk4_integrate(field, x0, dt: float, T: float) -> Trajectory:
     if x.shape[-1] != field.dim:
         raise ValueError(f"points of dimension {x.shape[-1]} in a {field.dim}-dimensional chart")
     n = max(1, int(round(T / dt)))
-    points = np.empty((n + 1,) + x.shape, dtype=float)
+    last = n if keep_path else 1
+    points = np.empty((last + 1,) + x.shape, dtype=float)
     points[0] = x
     np.remainder(points[0], 1.0, out=points[0], where=mask)
     half, sixth = 0.5 * dt, dt / 6.0
     for i in range(n):
-        x, nxt = points[i], points[i + 1]
+        x, nxt = points[min(i, last)], points[min(i + 1, last)]
         k1 = field(x)
         k2 = field(x + half * k1)
         k3 = field(x + half * k2)
@@ -208,6 +217,8 @@ def rk4_integrate(field, x0, dt: float, T: float) -> Trajectory:
         np.add(x, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=nxt)
         np.remainder(nxt, 1.0, out=nxt, where=mask)
     if not np.isfinite(points[-1]).all():
+        if not keep_path:
+            rk4_integrate(field, x0, dt, T)  # raises NonFinite naming the step
         first = bisect.bisect_left(range(n + 1), True, key=lambda k: not np.isfinite(points[k]).all())
         raise NonFinite(f"field evaluation produced a non-finite value near step {max(first - 1, 0)}")
     return Trajectory(times=np.arange(n + 1) * dt, points=points, step=dt)
@@ -346,7 +357,7 @@ def _segment_data(curve: TorusCurve) -> tuple[np.ndarray, ...]:
 
 _CELLS = 64  # midpoint buckets per circle; pairs in touching buckets are candidates
 _NEIGHBOURS = tuple((ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1))
-_PAIR_CHUNK = 1 << 15  # candidate pairs evaluated per array pass, bounding memory
+_PAIR_CHUNK = 1 << 11  # candidate pairs per array pass; bounds the ~20 per-pair temporaries
 
 
 def _cells(mids: np.ndarray) -> np.ndarray:
@@ -527,7 +538,7 @@ def repair_transversality(l1: TorusCurve, l2: TorusCurve, tol: float = CROSS_TOL
 
     isotopy = TranslationIsotopy(chosen * normal)
     starts = np.concatenate([np.zeros((len(l1.points), 1)), l1.points % 1.0], axis=1)
-    flowed = rk4_integrate(SuspensionField(isotopy), starts, DT_DEFAULT, 1.0)
+    flowed = rk4_integrate(SuspensionField(isotopy), starts, DT_DEFAULT, 1.0, keep_path=False)
     target = isotopy(1.0, l1.points % 1.0)
     suspension_error = float(np.max(np.abs(
         wrapped_delta(flowed.end[:, 1:], target, (True, True)))))

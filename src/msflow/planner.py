@@ -35,6 +35,7 @@ draft writes every other step itself, and :func:`replay` takes no other.
 
 from __future__ import annotations
 
+import json
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
@@ -545,9 +546,10 @@ def replay(steps, manifold=None, target_class=None) -> Ledger:
     The orbit list, totals, and d2 accumulation depend only on the steps, so
     replaying a ledger's steps reproduces its orbits exactly.  A malformed
     step (not an object, an unknown op, missing, extra or ill-shaped fields,
-    or any document other than the one the construction writes for it)
-    raises MalformedSpec naming the step's index and, when known, its op; a
-    step the construction rejects keeps its error type behind the same prefix.
+    or any document other than the one the construction writes for it, in
+    which true, 1 and 1.0 are three documents) raises MalformedSpec naming
+    the step's index and, when known, its op; a step the construction
+    rejects keeps its error type behind the same prefix.
     """
     draft = _Draft(manifold, target_class)
     for k, step in enumerate(steps):
@@ -562,6 +564,17 @@ def replay(steps, manifold=None, target_class=None) -> Ledger:
             raise MalformedSpec(f"step {k} ({op}) is malformed: {exc}") from None
         except StepRejected as exc:
             raise type(exc)(f"step {k} ({op}): {exc}") from None
-        if draft.steps[-1] != step:
-            raise MalformedSpec(f"step {k} ({op}) should read {_brief(draft.steps[-1])}")
+        written = draft.steps[-1]
+        # the draft keeps a lift as given, so only the steps it writes are compared
+        if written is not step and not _same_document(written, step):
+            raise MalformedSpec(f"step {k} ({op}) should read {_brief(written)}")
     return draft.freeze()
+
+
+def _same_document(written: dict, step: object) -> bool:
+    """Whether `step` encodes as the JSON document `written` does.  Unlike ==,
+    this tells true, 1 and 1.0 apart; a step that is no JSON document differs."""
+    try:
+        return json.dumps(step, sort_keys=True) == json.dumps(written, sort_keys=True)
+    except (TypeError, ValueError):
+        return False

@@ -388,6 +388,25 @@ def test_error_documents_stay_small(tmp_path, capsys, graph, error):
     assert re.fullmatch(error, json.loads(captured.out)["error"])
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["bound", "seifert", "--genus", "0", "--euler", "x" * 100_000],
+     r"argument --euler: invalid int value: 'x+\.\.\.x+'"),
+    (["x" * 100_000], r"argument command: invalid choice: 'x+\.\.\.x+' \(choose from .*selftest'?\)"),
+    (["verify", "collar", "y" * 100_000], r"unrecognized arguments: y+\.\.\.y+"),
+], ids=["bad-int", "bad-choice", "unrecognized"])
+def test_usage_errors_stay_small(capsys, argv, error):
+    """argparse's own errors are cut to 200 characters like echoed input,
+    keeping the explanation before the value and the choices after it."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.out.encode()) < 1024 and len(captured.err.encode()) < 1024
+    assert captured.out.count("\n") == 1
+    message = json.loads(captured.out)["error"]
+    assert len(message) == 200 and re.fullmatch(error, message)
+    assert captured.err == f"usage error: {message}\n"
+
+
 def write_cycle_graph(tmp_path):
     """Two pieces glued along two edges: one independent cycle."""
     pieces = (SeifertPiece(0, 2, ()), SeifertPiece(0, 2, ()))

@@ -5,7 +5,9 @@ orbit closure 1e-6 at dt = 1e-3, transversality threshold 1e-3 on the
 sine of the crossing angle.
 """
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +297,36 @@ class TestIntersections:
         b = fl.TorusCurve.line(1, 3, n=2048)
         pts = fl.curve_intersections(a, b)
         assert len(pts) == 3 and all(t for _, t in pts)
+
+
+def _random_pair():
+    """A (1, 2)-line and a seeded wiggly curve of class (2, -1): five
+    crossings in homology, nine on the polylines."""
+    rng = np.random.default_rng(7)
+    k = np.arange(1, 6)
+    ax, ay = rng.normal(0.0, 1.0, (2, 5))
+    phase = rng.uniform(0.0, 2.0 * np.pi, 5)
+
+    def fn(s):
+        wiggle = np.sin(2.0 * np.pi * np.outer(s, k) + phase)
+        return np.stack([2.0 * s + wiggle @ (ax / k), -s + wiggle @ (ay / k)], axis=-1)
+
+    return fl.TorusCurve.line(1, 2, offset=0.13, n=1024), fl.TorusCurve.from_function(fn, n=2048)
+
+
+class TestIntersectionChunks:
+    """Candidate pairs are evaluated a chunk at a time, and the crossings
+    are sorted before they merge, so the chunk size changes nothing."""
+
+    @pytest.mark.parametrize("chunk", [64, 1 << 20])
+    @pytest.mark.parametrize("pair", ["demo", "random"])
+    def test_chunk_size_keeps_the_crossings(self, monkeypatch, pair, chunk):
+        c1, c2 = fl.demo_curves() if pair == "demo" else _random_pair()
+        want = [(point.tolist(), transverse) for point, transverse in fl.curve_intersections(c1, c2)]
+        assert len(want) == (1 if pair == "demo" else 9)
+        monkeypatch.setattr(fl, "_PAIR_CHUNK", chunk)
+        got = [(point.tolist(), transverse) for point, transverse in fl.curve_intersections(c1, c2)]
+        assert got == want
 
 
 def _wrapped_gap(a, b):
@@ -595,3 +627,61 @@ class TestNumericsMatchReference:
         # increment passes a nan t along; the final-state check does not
         with pytest.raises(NonFinite, match="step 0$"):
             fl.rk4_integrate(fl.RoundHandleField(), np.array([np.nan, 0.5]), 1e-3, 1.0)
+
+
+def _suspension_starts():
+    l1, l2 = fl.demo_curves()
+    isotopy, _report = fl.repair_transversality(l1, l2)
+    starts = np.concatenate([np.zeros((len(l1.points), 1)), l1.points % 1.0], axis=1)
+    return fl.SuspensionField(isotopy), starts
+
+
+def _torus_batch():
+    eps = 1e-4
+    starts = []
+    for b_star in (0.25, 0.75):
+        x0 = np.array([(-b_star) % 1.0, 0.0, 0.0])
+        starts += [x0, x0 + np.array([-eps, 0.0, 0.0]), x0 + np.array([0.0, eps, 0.0])]
+    return fl._RowSigned(fl.TorusChartField(3), (1.0, 1.0, 1.0, -1.0, 1.0, 1.0)), np.array(starts)
+
+
+class TestEndStateOnly:
+    """rk4_integrate(..., keep_path=False) steps two rows in place: the same
+    floats as the whole path, with every sample time kept."""
+
+    @pytest.mark.parametrize("case", [_suspension_starts, _torus_batch], ids=["suspension", "torus-batch"])
+    def test_end_state_is_bit_identical(self, case):
+        field, starts = case()
+        full = fl.rk4_integrate(field, starts, 1e-3, 1.0)
+        ends = fl.rk4_integrate(field, starts, 1e-3, 1.0, keep_path=False)
+        assert ends.points.shape == (2,) + starts.shape
+        assert np.array_equal(ends.start, full.start) and np.array_equal(ends.end, full.end)
+        assert np.array_equal(ends.times, full.times) and ends.step == full.step
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 98])
+    def test_non_finite_names_the_same_step(self, k):
+        field = _blows_up_at(k, 0.01)
+        end_only = functools.partial(fl.rk4_integrate, keep_path=False)
+        got = _non_finite_message(end_only, field, np.array([0.0]), 0.01, 1.0)
+        assert got == _non_finite_message(fl.rk4_integrate, field, np.array([0.0]), 0.01, 1.0)
+        assert got.endswith(f"step {k}")
+
+    def test_non_finite_start_names_step_0(self):
+        end_only = functools.partial(fl.rk4_integrate, keep_path=False)
+        got = _non_finite_message(end_only, fl.RoundHandleField(), np.array([np.nan, 0.5]), 1e-3, 1.0)
+        assert got.endswith("step 0")
+
+    def test_glue_demo_traced_peak(self):
+        # the full (1001, 513, 3) suspension path alone would be 12.3 MB
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fl.verify_glue_demo()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 2_000_000

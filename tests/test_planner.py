@@ -520,6 +520,9 @@ SIDEWAYS_LIFT = dict(CLOSED_LIFT, tori=[[label, "sideways", unit]
                                ["p5.gamma1", "attracting", PIECE_LIFT["fibers"][0][2]]]),), 0),
     ((dict(GOOD_LIFT, bogus=1),), 0),
     ((GOOD_LIFT, dict(wada5("gamma0", 2), p=7)), 1),
+    ((GOOD_LIFT, dict(wada5("gamma0", 2), p=True)), 1),
+    ((GOOD_LIFT, dict(wada5("gamma0", 2), p=1.0)), 1),
+    ((GOOD_LIFT, dict(wada5("gamma0", 2), p="1")), 1),
     ((CLOSED_LIFT, dict(destroy("beta1", 1), bogus=1)), 1),
 ], ids=["destroy-no-fields", "lift-no-fields", "wada5-no-q", "reverse-no-link",
         "lift-entry-arity", "lift-fibers-scalar", "lift-empty", "lift-label-space",
@@ -527,7 +530,8 @@ SIDEWAYS_LIFT = dict(CLOSED_LIFT, tori=[[label, "sideways", unit]
         "reverse-string-id", "reverse-bool-id", "lift-piece-after-closed",
         "lift-closed-repeated", "lift-closed-after-piece", "reverse-mixed-lengths",
         "lift-torus-kind", "lift-saddle-fiber", "lift-repeated-label", "lift-mixed-pieces",
-        "lift-extra-key", "wada5-p", "destroy-extra-key"])
+        "lift-extra-key", "wada5-p", "wada5-p-true", "wada5-p-float", "wada5-p-string",
+        "destroy-extra-key"])
 def test_malformed_step_names_its_index_and_op(steps, k):
     with pytest.raises(MalformedSpec, match=rf"^step {k} \({steps[k]['op']}\)"):
         replay(steps)
