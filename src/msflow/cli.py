@@ -40,6 +40,8 @@ from .manifolds import (
     HomologyClassExpr,
     SeifertClosed,
     _brief,
+    _decimal_int,
+    _load_json,
     _require_int,
     maximal_class,
     parse_graph,
@@ -141,6 +143,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _attach_fibers(argv) -> list[str]:
+    """Write "--fibers -2/1;3/1" as "--fibers=-2/1;3/1": argparse takes a value
+    that starts with "-" and a digit, but is no plain number, for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--fibers" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--fibers={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _manifold_from_args(args) -> SeifertClosed | GraphManifold:
     if args.target != "seifert":
         return parse_graph(_read(args.file))
@@ -163,7 +177,7 @@ def _parse_class_text(text: str) -> HomologyClassExpr:
         if not sep or key not in ("lambda", "alpha", "tau") or key in doc:
             raise _UsageError(f"bad class component {_brief(part)}")
         try:
-            doc[key] = tuple(int(v) for v in values.split(",") if v.strip())
+            doc[key] = tuple(_decimal_int(v, f"{key} coefficient") for v in values.split(",") if v.strip())
         except ValueError:
             raise _UsageError(f"non-integer coefficient in {_brief(part)}") from None
     if "lambda" not in doc or "alpha" not in doc:
@@ -182,7 +196,7 @@ def _parse_class(m, text: str):
     if rank is None:
         return _parse_class_text(text), None
     try:
-        doc = json.loads(text)
+        doc = _load_json(text, "the class JSON")
     except (json.JSONDecodeError, RecursionError) as exc:
         raise _UsageError(f"class is neither 'max' nor valid JSON: {exc}") from None
     if not isinstance(doc, dict) or not set(doc) <= {"pieces", "cycles"}:
@@ -306,7 +320,7 @@ def _cmd_selftest() -> CommandOutcome:
 def run(argv) -> CommandOutcome:
     """Parse and execute one invocation without touching process state."""
     try:
-        args = _build_parser().parse_args(list(argv))
+        args = _build_parser().parse_args(_attach_fibers(argv))
         if args.command == "bound":
             return _cmd_bound(args)
         if args.command == "plan":

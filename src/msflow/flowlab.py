@@ -8,9 +8,13 @@ torus with one-period factor exp(2*pi*(lambda^2 + 1)), far too stiff to
 close up under forward float integration, so it is traced backward in
 time (where it attracts); Floquet signs are always measured forward.
 
-Both orbits and the perturbed starts that give their Floquet signs are
-integrated as one RK4 batch per model, the backward row under a per-row
-sign of the field.
+The integrated chart fields evaluate one point at a time in float
+arithmetic, and RK4 steps each start on its own: at a few points per run,
+numpy's per-call overhead would outweigh its arithmetic.  The operations
+are those of the array formulas they replaced, in the same order, so the
+floats are the same.  The glue-demo suspension reads only time, so its
+RK4 increments are computed once, on one time track, and added to all
+starts as arrays.
 
 Curves on the flat unit torus are stored as lifted polylines whose
 endpoint difference is the integer homology class.  Intersection tests
@@ -54,14 +58,17 @@ def smoothstep(u: "np.ndarray | float") -> "np.ndarray | float":
     return u * u * (3.0 - 2.0 * u)
 
 
-def default_bump(x: "np.ndarray | float") -> "np.ndarray | float":
+def default_bump(x: float) -> float:
     """sin^2(pi*x/2): vanishes at 0, equals 1 at x = +-1, smooth and even."""
-    s = np.sin(0.5 * np.pi * x)
+    s = math.sin(0.5 * math.pi * x)
     return s * s
 
 
 # ---------------------------------------------------------------------------
 # Chart fields
+#
+# An integrated chart field has a dimension `dim`, a `circle_mask` naming its
+# circle coordinates, and maps one dim-long point to a tuple of floats.
 
 @dataclass(frozen=True, eq=False)
 class TorusChartField:
@@ -84,24 +91,15 @@ class TorusChartField:
         if not isinstance(self.lam, int) or isinstance(self.lam, bool) or self.lam == 0:
             raise ZeroLambda("the torus-destruction model needs a nonzero integer coefficient")
 
-    def profiles(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t, x, z = points[..., 0], points[..., 1], points[..., 2]
+    def __call__(self, point) -> tuple[float, float, float]:
+        t, x, z = point
         lam = self.lam
         rho = default_bump(x)
         flat = 1.0 - rho
         f = flat + rho * (lam + 1) / (lam * lam + 1)
-        g = flat * np.cos(2.0 * np.pi * (lam * z - t)) + rho * (lam - 1) / (lam * lam + 1)
-        return f, g + self.g_shift
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        f, g = self.profiles(points)
-        lam = self.lam
-        out = np.empty_like(points)
-        out[..., 0] = f * lam - g
-        out[..., 1] = -points[..., 1]
-        out[..., 2] = f + g * lam
-        return out
+        g = flat * math.cos(2.0 * math.pi * (lam * z - t)) + rho * (lam - 1) / (lam * lam + 1)
+        g = g + self.g_shift
+        return f * lam - g, -x, f + g * lam
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,28 +115,22 @@ class RoundHandleField:
         if self.stability not in ("attracting", "repelling"):
             raise ValueError(f"unknown stability {self.stability!r}")
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        out = np.empty_like(points)
-        out[..., 0] = 1.0
+    def __call__(self, point) -> tuple[float, float]:
         sign = -1.0 if self.stability == "attracting" else 1.0
-        out[..., 1] = sign * points[..., 1]
-        return out
+        return 1.0, sign * point[1]
 
 
-class _RowSigned:
-    """A chart field scaled by +1.0 or -1.0 per row of a batch of points; a
-    -1.0 row is integrated backward in time.  The sign is exact, so each row
-    follows the same floats as a run of the field or its negation alone."""
+class _Backward:
+    """A chart field negated, so that integrating it runs the flow backward
+    in time; negation is exact."""
 
-    def __init__(self, field, signs) -> None:
+    def __init__(self, field) -> None:
         self.field = field
-        self.signs = np.asarray(signs, dtype=float)[:, None]
         self.dim = field.dim
         self.circle_mask = field.circle_mask
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.signs * self.field(points)
+    def __call__(self, point) -> tuple[float, ...]:
+        return tuple(-v for v in self.field(point))
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +139,8 @@ class _RowSigned:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled integral curve: times[i] = i*step, points[i] the chart point
-    (circle coordinates wrapped into [0, 1)).
-
-    `times` always holds every sample time.  An integration that did not keep
-    its path stores only points = (start, end), stacked on a first axis of
-    length 2, so start and end read the same either way.
-    """
+    (circle coordinates wrapped into [0, 1)); a batch of starts adds the
+    batch's axes after the first."""
 
     times: np.ndarray
     points: np.ndarray
@@ -179,7 +167,21 @@ def wrapped_distance(a: np.ndarray, b: np.ndarray, circle_mask) -> float:
     return float(np.max(np.abs(wrapped_delta(a, b, circle_mask))))
 
 
-def rk4_integrate(field, x0, dt: float, T: float, keep_path: bool = True) -> Trajectory:
+def _step_count(dt: float, T: float) -> int:
+    if not 0 < dt <= T < math.inf:  # also false for nan
+        raise ValueError("need 0 < dt <= T, both finite")
+    return max(1, int(round(T / dt)))
+
+
+def _non_finite(step: int) -> NonFinite:
+    return NonFinite(f"field evaluation produced a non-finite value near step {step}")
+
+
+# where numpy returns nan or inf, float arithmetic and `math` raise one of these
+_FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
+
+def rk4_integrate(field, x0, dt: float, T: float) -> Trajectory:
     """Classical Runge-Kutta 4 with circle coordinates wrapped each step.
 
     dt and T must be finite with 0 < dt <= T.  The step count is
@@ -187,40 +189,47 @@ def rk4_integrate(field, x0, dt: float, T: float, keep_path: bool = True) -> Tra
     are not wrapped mid-step; all chart fields here are periodic in their
     circle coordinates, which keeps stages smooth across the seam.
 
-    Each step is written straight into a preallocated array: the whole
-    trajectory, or with keep_path=False only two rows, the start and the
-    current state, which is stepped in place.  Both give the same floats
-    at every step.  A non-finite coordinate stays non-finite under
-    x + step and the wrap, so finiteness is checked once, on the final
-    state; only then is the first non-finite state searched for, and
-    NonFinite names the step that led to it (step 0 for a non-finite
-    start).  Without the path, that search first integrates again with it.
+    x0 is one point or an array of them (last axis of length field.dim).
+    Each start is stepped on its own in float arithmetic, and every state
+    is written into the preallocated (n+1,) + x0.shape array of points.
+    A field that raises ValueError, ZeroDivisionError or OverflowError
+    (math.cos(inf), say) where numpy would return nan or inf leaves the
+    rest of its start's path nan.  A non-finite coordinate stays
+    non-finite under x + step and the wrap, so finiteness is checked once,
+    on the final states; only then is the first non-finite state searched
+    for, and NonFinite names the step that led to it (step 0 for a
+    non-finite start).
     """
-    if not 0 < dt <= T < math.inf:  # also false for nan
-        raise ValueError("need 0 < dt <= T, both finite")
-    mask = np.asarray(field.circle_mask)
+    n = _step_count(dt, T)
     x = np.asarray(x0, dtype=float)
-    if x.shape[-1] != field.dim:
-        raise ValueError(f"points of dimension {x.shape[-1]} in a {field.dim}-dimensional chart")
-    n = max(1, int(round(T / dt)))
-    last = n if keep_path else 1
-    points = np.empty((last + 1,) + x.shape, dtype=float)
-    points[0] = x
-    np.remainder(points[0], 1.0, out=points[0], where=mask)
+    dim = field.dim
+    if x.shape[-1] != dim:
+        raise ValueError(f"points of dimension {x.shape[-1]} in a {dim}-dimensional chart")
+    circles = [j for j, circle in enumerate(field.circle_mask) if circle]
+    points = np.empty((n + 1,) + x.shape, dtype=float)
+    paths = points.reshape(n + 1, -1, dim)  # a view: one column per start
     half, sixth = 0.5 * dt, dt / 6.0
-    for i in range(n):
-        x, nxt = points[min(i, last)], points[min(i + 1, last)]
-        k1 = field(x)
-        k2 = field(x + half * k1)
-        k3 = field(x + half * k2)
-        k4 = field(x + dt * k3)
-        np.add(x, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=nxt)
-        np.remainder(nxt, 1.0, out=nxt, where=mask)
+    for column, y in enumerate(x.reshape(-1, dim).tolist()):
+        path = paths[:, column]
+        for j in circles:
+            y[j] %= 1.0
+        path[0] = y
+        try:
+            for i in range(1, n + 1):
+                k1 = field(y)
+                k2 = field([a + half * b for a, b in zip(y, k1)])
+                k3 = field([a + half * b for a, b in zip(y, k2)])
+                k4 = field([a + dt * b for a, b in zip(y, k3)])
+                y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+                for j in circles:
+                    y[j] %= 1.0
+                path[i] = y
+        except _FLOAT_ERRORS:
+            path[i:] = math.nan
     if not np.isfinite(points[-1]).all():
-        if not keep_path:
-            rk4_integrate(field, x0, dt, T)  # raises NonFinite naming the step
         first = bisect.bisect_left(range(n + 1), True, key=lambda k: not np.isfinite(points[k]).all())
-        raise NonFinite(f"field evaluation produced a non-finite value near step {max(first - 1, 0)}")
+        raise _non_finite(max(first - 1, 0))
     return Trajectory(times=np.arange(n + 1) * dt, points=points, step=dt)
 
 
@@ -241,9 +250,7 @@ def detect_torus_orbits(field: TorusChartField, dt: float = DT_DEFAULT,
     docstring.  Each orbit is traced in the direction where it attracts, at
     the in-torus rate 2*pi*(lam^2 + 1); a step outside RK4's stability
     interval for that rate raises StepTooLarge before any integration, since
-    the numerics could not tell a closed orbit from a missed one.  Both
-    orbits and their four perturbed starts are one RK4 batch, and each
-    returned trajectory is its orbit's column of that batch.
+    the numerics could not tell a closed orbit from a missed one.
     """
     largest_lam = math.isqrt(max(0, math.floor(RK4_STABILITY / (2.0 * math.pi * dt) - 1)))
     try:
@@ -261,27 +268,26 @@ def detect_torus_orbits(field: TorusChartField, dt: float = DT_DEFAULT,
             f"{rate:.4g} needs a step of at most {RK4_STABILITY / rate:.3e} "
             f"(at dt={dt:g}, |lambda| <= {largest_lam} resolves)")
     eps = 1e-4
-    starts = []
-    for b_star in _ORBIT_B:
-        x0 = np.array([(-b_star) % 1.0, 0.0, 0.0])
-        # b = lam*z - t, so shifting t by -eps shifts b by +eps
-        starts += [x0, x0 + np.array([-eps, 0.0, 0.0]), x0 + np.array([0.0, eps, 0.0])]
-    # one batch: each orbit start, then its b- and x-perturbations; only the
-    # b = 3/4 orbit row runs backward
-    batch = rk4_integrate(_RowSigned(field, (1.0, 1.0, 1.0, -1.0, 1.0, 1.0)),
-                          np.array(starts), dt, 1.0)
+    orbit_starts = np.array([[(-b_star) % 1.0, 0.0, 0.0] for b_star in _ORBIT_B])
+    # b = lam*z - t, so shifting t by -eps shifts b by +eps
+    perturbed_b = orbit_starts + np.array([-eps, 0.0, 0.0])
+    perturbed_x = orbit_starts + np.array([0.0, eps, 0.0])
+    # one forward run: the b = 1/4 orbit, then the b- and x-perturbations of
+    # both orbits; the b = 3/4 orbit runs backward on its own
+    ahead = rk4_integrate(field, np.concatenate([orbit_starts[:1], perturbed_b, perturbed_x]), dt, 1.0)
+    behind = rk4_integrate(_Backward(field), orbit_starts[1], dt, 1.0)
     results = []
-    for k, b_star in enumerate(_ORBIT_B):
-        orbit, perturbed_b, perturbed_x = (batch.points[:, 3 * k + m] for m in range(3))
+    for k, (b_star, orbit) in enumerate(zip(_ORBIT_B, (ahead.points[:, 0], behind.points))):
         err = wrapped_distance(orbit[-1], orbit[0], field.circle_mask)
         if err > tol:
             raise OrbitNotClosed(
                 f"orbit at b={b_star} failed to close: error {err:.3e} exceeds {tol:.1e}")
-        b_end = (field.lam * perturbed_b[-1, 2] - perturbed_b[-1, 0]) % 1.0
+        end_b, end_x = ahead.end[1 + k], ahead.end[3 + k]
+        b_end = (field.lam * end_b[2] - end_b[0]) % 1.0
         after_b = abs((b_end - b_star + 0.5) % 1.0 - 0.5)
         sign_b = 1 if after_b > eps else -1
-        sign_x = 1 if abs(perturbed_x[-1, 1]) > eps else -1
-        results.append((Trajectory(batch.times, orbit, dt), (sign_b, sign_x)))
+        sign_x = 1 if abs(end_x[1]) > eps else -1
+        results.append((Trajectory(ahead.times, orbit, dt), (sign_b, sign_x)))
     return results
 
 
@@ -472,32 +478,55 @@ class TranslationIsotopy:
             ramp = ramp[..., None]
         return np.asarray(points, dtype=float) + ramp * self.displacement
 
-    def velocity(self, t):
+    def velocity(self, t: float) -> float:
         # derivative of the clamped cubic ramp, zero outside (eps, 1-eps)
-        u = (np.asarray(t, dtype=float) - self.eps) / (1.0 - 2.0 * self.eps)
-        inside = (u > 0.0) & (u < 1.0)
-        du = np.where(inside, 6.0 * u * (1.0 - u), 0.0) / (1.0 - 2.0 * self.eps)
-        return du
+        u = (t - self.eps) / (1.0 - 2.0 * self.eps)
+        return (6.0 * u * (1.0 - u) if 0.0 < u < 1.0 else 0.0) / (1.0 - 2.0 * self.eps)
 
 
 class SuspensionField:
     """d/dt + velocity of the isotopy, on [0, 1] x T^2 with coordinates
-    (t, a, b)."""
+    (t, a, b).  It reads only t."""
 
     dim = 3
     circle_mask = (False, True, True)
 
     def __init__(self, isotopy: TranslationIsotopy) -> None:
         self.isotopy = isotopy
+        self.displacement = tuple(isotopy.displacement.tolist())
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        out = np.empty_like(points)
-        out[..., 0] = 1.0
-        du = self.isotopy.velocity(points[..., 0])
-        out[..., 1] = du * self.isotopy.displacement[0]
-        out[..., 2] = du * self.isotopy.displacement[1]
-        return out
+    def __call__(self, point) -> tuple[float, float, float]:
+        du = self.isotopy.velocity(point[0])
+        return 1.0, du * self.displacement[0], du * self.displacement[1]
+
+
+def flow_suspension(field: SuspensionField, ab, dt: float, T: float) -> np.ndarray:
+    """Where RK4 on `field` takes (0, a, b) by time T, for every row (a, b)
+    of `ab`: the wrapped (a, b) columns of rk4_integrate's end state.
+
+    The field reads only t, and every start has t = 0, so RK4's stages are
+    the same for every start.  Each step's (a, b) increment is computed once,
+    on one time track, and added to all starts with one array add and the
+    wrap.  NonFinite names the same step as rk4_integrate would.
+    """
+    n = _step_count(dt, T)
+    ab = np.remainder(np.asarray(ab, dtype=float), 1.0)
+    if not np.isfinite(ab).all():
+        raise _non_finite(0)
+    half, sixth = 0.5 * dt, dt / 6.0
+    t = 0.0
+    for i in range(n):
+        k1 = field((t,))
+        k2 = field((t + half * k1[0],))
+        k3 = field((t + half * k2[0],))
+        k4 = field((t + dt * k3[0],))
+        step = [sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for b1, b2, b3, b4 in zip(k1, k2, k3, k4)]
+        t += step[0]
+        if not (math.isfinite(step[1]) and math.isfinite(step[2])):
+            raise _non_finite(i)
+        ab += step[1:]
+        np.remainder(ab, 1.0, out=ab)
+    return ab
 
 
 _REPAIR_CANDIDATES = (-0.05, 0.05, -0.1, 0.1, -0.15, 0.15, -0.2, 0.2)
@@ -537,11 +566,9 @@ def repair_transversality(l1: TorusCurve, l2: TorusCurve, tol: float = CROSS_TOL
         raise RepairFailed("no candidate displacement made all intersections transverse")
 
     isotopy = TranslationIsotopy(chosen * normal)
-    starts = np.concatenate([np.zeros((len(l1.points), 1)), l1.points % 1.0], axis=1)
-    flowed = rk4_integrate(SuspensionField(isotopy), starts, DT_DEFAULT, 1.0, keep_path=False)
+    flowed = flow_suspension(SuspensionField(isotopy), l1.points % 1.0, DT_DEFAULT, 1.0)
     target = isotopy(1.0, l1.points % 1.0)
-    suspension_error = float(np.max(np.abs(
-        wrapped_delta(flowed.end[:, 1:], target, (True, True)))))
+    suspension_error = float(np.max(np.abs(wrapped_delta(flowed, target, (True, True)))))
 
     report = {
         "model": "glue-demo",
@@ -630,16 +657,16 @@ def boundary_max_error(field: TorusChartField) -> float:
     """Largest deviation of the field from (1, -x, 1) over 100 boundary points.
 
     The points lie on an evenly spaced 10 x 10 (t, z) grid with x alternating
-    between +1 and -1.  The profiles' bump, default_bump, is exactly 1.0 at
+    between +1 and -1.  The field's bump, default_bump, is exactly 1.0 at
     x = +-1, so the field is constant on each boundary torus and any fixed
     points give the same maximum.
     """
     k = np.arange(100)
     t, z = (k // 10) / 10, (k % 10) / 10
     x = np.where(k % 2 == 0, 1.0, -1.0)
-    pts = np.stack([t, x, z], axis=-1)
+    values = np.array([field(point) for point in np.stack([t, x, z], axis=-1).tolist()])
     target = np.stack([np.ones(100), -x, np.ones(100)], axis=-1)
-    return float(np.max(np.abs(field(pts) - target)))
+    return float(np.max(np.abs(values - target)))
 
 
 def verify_torus_model(lam: int, tol: float = CLOSURE_TOL):

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -54,6 +55,30 @@ def _require_int(value: object, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise MalformedSpec(f"{what} must be an integer, got {_brief(value)}")
     return value
+
+
+def _decimal_int(text: str, what: str) -> int:
+    """int(text).  Past Python's limit on the digits of an int parsed from a
+    string, the error is a MalformedSpec naming `what` and the limit, where
+    int's own ValueError names neither."""
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        digits = (body[1:] if body[:1] in "+-" else body).replace("_", "")
+        if not digits.isdecimal():
+            raise
+        limit = sys.get_int_max_str_digits()
+        if not 0 < limit < len(digits):
+            raise
+        raise MalformedSpec(f"{what} has {len(digits)} digits; integers are limited to {limit} digits") from None
+
+
+def _load_json(document: str, what: str) -> object:
+    """json.loads, with an integer past the digit limit a MalformedSpec naming
+    `what` (see _decimal_int)."""
+    label = f"an integer in {what}"
+    return json.loads(document, parse_int=lambda text: _decimal_int(text, label))
 
 
 def _require_list(value: object, what: str) -> "list | tuple":
@@ -392,7 +417,8 @@ def parse_seifert(text: str) -> SeifertClosed:
     match = _SEIFERT_RE.match(text.strip())
     if match is None:
         raise MalformedSpec(f"cannot parse Seifert description {_brief(text)}")
-    genus, euler, fibers_text = int(match.group(1)), int(match.group(2)), match.group(3)
+    genus, euler = _decimal_int(match.group(1), "genus"), _decimal_int(match.group(2), "euler number")
+    fibers_text = match.group(3)
     fibers = []
     if fibers_text is not None:
         if not fibers_text:
@@ -401,7 +427,8 @@ def parse_seifert(text: str) -> SeifertClosed:
             frac = _FRACTION_RE.match(part.strip())
             if frac is None:
                 raise MalformedSpec(f"cannot parse surgery coefficient {_brief(part)}")
-            fibers.append(SurgeryCoefficient(int(frac.group(1)), int(frac.group(2))))
+            fibers.append(SurgeryCoefficient(_decimal_int(frac.group(1), "fiber numerator"),
+                                             _decimal_int(frac.group(2), "fiber denominator")))
     return SeifertClosed(genus, euler, tuple(fibers))
 
 
@@ -420,7 +447,7 @@ def parse_graph(document: str) -> GraphManifold:
     ...]}, ...], "edges": [[pi, bi, pj, bj, [[a, b], [c, d]]], ...]}``.
     """
     try:
-        doc = json.loads(document)
+        doc = _load_json(document, "the graph document")
     except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedSpec(f"invalid JSON: {exc}") from exc
     return graph_from_json(doc)

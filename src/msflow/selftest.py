@@ -50,7 +50,7 @@ class CriterionResult:
 
 # Budgets in seconds; criteria 4, 5, and 10 are exact-arithmetic checks
 # with no stated limit.
-_BUDGETS = {1: 0.1, 2: 1.0, 3: 2.0, 6: 0.1, 7: 30.0, 8: 5.0, 9: 5.0}
+_BUDGETS = {1: 0.1, 2: 1.0, 3: 2.0, 6: 0.1, 7: 3.0, 8: 1.0, 9: 1.0}
 
 
 def _fibers(n: int) -> tuple[SurgeryCoefficient, ...]:

@@ -1,17 +1,104 @@
-"""Straightforward references for the in-place numerics of ``flowlab``.
+"""Straightforward numpy references for the numerics of ``flowlab``.
 
-Each function here does the work the simple way: RK4 with a fresh wrapped
-copy and a finiteness check at every step, the collar field evaluated on
-the full grid_side^3 grid, and the boundary check at seeded random points.
-They are test oracles for the package's versions, not used by the package.
+Each function or field here does the work the simple way: the chart fields
+evaluate arrays of points with numpy, RK4 steps a whole batch of points
+with a fresh wrapped copy and a finiteness check at every step, the
+collar field is evaluated on the full grid_side^3 grid, and the boundary
+check runs at seeded random points.  They are test oracles for the
+package's float and in-place versions, not used by the package.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from msflow.errors import NonFinite, VanishingField
 from msflow.flowlab import CollarField, Trajectory
+
+
+@dataclass(frozen=True, eq=False)
+class TorusChartField:
+    """flowlab.TorusChartField on arrays of points."""
+
+    lam: int
+    g_shift: float = 0.0
+
+    dim = 3
+    circle_mask = (True, False, True)
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        t, x, z = points[..., 0], points[..., 1], points[..., 2]
+        lam = self.lam
+        s = np.sin(0.5 * np.pi * x)
+        rho = s * s
+        flat = 1.0 - rho
+        f = flat + rho * (lam + 1) / (lam * lam + 1)
+        g = flat * np.cos(2.0 * np.pi * (lam * z - t)) + rho * (lam - 1) / (lam * lam + 1)
+        g = g + self.g_shift
+        out = np.empty_like(points)
+        out[..., 0] = f * lam - g
+        out[..., 1] = -x
+        out[..., 2] = f + g * lam
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class RoundHandleField:
+    """flowlab.RoundHandleField on arrays of points."""
+
+    stability: str = "attracting"
+
+    dim = 2
+    circle_mask = (True, False)
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        out = np.empty_like(points)
+        out[..., 0] = 1.0
+        sign = -1.0 if self.stability == "attracting" else 1.0
+        out[..., 1] = sign * points[..., 1]
+        return out
+
+
+class SuspensionField:
+    """flowlab.SuspensionField on arrays of points, from a
+    flowlab.TranslationIsotopy."""
+
+    dim = 3
+    circle_mask = (False, True, True)
+
+    def __init__(self, isotopy) -> None:
+        self.isotopy = isotopy
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        eps = self.isotopy.eps
+        u = (points[..., 0] - eps) / (1.0 - 2.0 * eps)
+        inside = (u > 0.0) & (u < 1.0)
+        du = np.where(inside, 6.0 * u * (1.0 - u), 0.0) / (1.0 - 2.0 * eps)
+        out = np.empty_like(points)
+        out[..., 0] = 1.0
+        out[..., 1] = du * self.isotopy.displacement[0]
+        out[..., 2] = du * self.isotopy.displacement[1]
+        return out
+
+
+class RowSigned:
+    """A chart field scaled by +1.0 or -1.0 per row of a batch of points; a
+    -1.0 row is integrated backward in time.  The sign is exact, so each row
+    follows the same floats as a run of the field or its negation alone."""
+
+    def __init__(self, field, signs) -> None:
+        self.field = field
+        self.signs = np.asarray(signs, dtype=float)[:, None]
+        self.dim = field.dim
+        self.circle_mask = field.circle_mask
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        return self.signs * self.field(points)
 
 
 def _wrap(points, mask):
@@ -55,6 +142,7 @@ def collar_min_norm(f_profile, g_profile, grid_side: int = 64) -> float:
 
 
 def boundary_max_error(field, n_points: int = 100) -> float:
+    """flowlab.boundary_max_error at seeded random (t, z), for an array field."""
     rng = np.random.default_rng(0)
     t = rng.random(n_points)
     z = rng.random(n_points)

@@ -63,21 +63,21 @@ def test_criterion_06_homology_groups():
 
 def test_criterion_07_torus_destruction_model():
     """lambda in {2,3,5}: two orbits close within 1e-6 at dt = 1e-3 with
-    Floquet signs (-,-), (+,-); boundary field within 1e-12; < 30 s."""
-    run(7, 30.0)
+    Floquet signs (-,-), (+,-); boundary field within 1e-12; < 3 s."""
+    run(7, 3.0)
 
 
 def test_criterion_08_transversality_repair():
     """Tangency demo repairs to all-transverse (sine > 1e-3), parity kept,
-    suspension flow matches the isotopy within 1e-6; < 5 s."""
-    run(8, 5.0)
+    suspension flow matches the isotopy within 1e-6; < 1 s."""
+    run(8, 1.0)
 
 
 def test_criterion_09_round_handle_and_collar():
     """|x(10)| < 1e-4 |x(0)| for the round handle; collar field nonvanishing
     on the 64^3 grid (sampled along its r axis, all the field reads) and
-    equal to (1,0,0) at r = 0; < 5 s."""
-    run(9, 5.0)
+    equal to (1,0,0) at r = 0; < 1 s."""
+    run(9, 1.0)
 
 
 def test_criterion_09_bounds_x10_from_the_round_handle_report(monkeypatch):

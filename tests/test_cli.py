@@ -40,6 +40,18 @@ class TestBound:
                        "--fibers", "2/1;3/1"])
         assert out.payload == {"bound": 28}
 
+    @pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+    def test_negative_leading_fiber(self, joined):
+        # argparse alone reads the spaced "--fibers -2/1" as two options
+        def fibers(value):
+            return [f"--fibers={value}"] if joined else ["--fibers", value]
+
+        out = cli.run(["bound", "seifert", "--genus", "0", "--euler", "1"] + fibers("-2/1"))
+        assert out.exit_code == 0 and out.payload == {"bound": 8}
+        out = cli.run(["plan", "seifert", "--genus", "0", "--euler", "2"] + fibers("-2/1;3/1"))
+        assert out.exit_code == 0 and out.payload["total"] == 16
+        assert out.payload["manifold"]["fibers"] == [[-2, 1], [3, 1]]
+
     def test_graph(self, tmp_path):
         path = write_graph(tmp_path)
         out = cli.run(["bound", "graph", str(path)])
@@ -492,6 +504,48 @@ class TestDeeplyNestedJson:
         assert done.stdout.count("\n") == 1
         assert set(json.loads(done.stdout)) == {"error"}
         assert "Traceback" not in done.stderr
+
+
+class TestIntegerDigitLimit:
+    """An integer past Python's limit on the digits of an int parsed from text
+    exits 1 with one message naming where it was and the limit, at each
+    place msflow reads integers from text."""
+
+    @pytest.fixture(autouse=True)
+    def limit(self):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(previous)
+
+    @staticmethod
+    def assert_refused(out, what, digits):
+        message = f"{what} has {digits} digits; integers are limited to 4300 digits"
+        assert out.exit_code == 1 and out.payload == {"error": message}
+
+    def test_fibers(self):
+        big = "1" + "0" * 4999
+        for fibers, what in ((f"{big}/1", "fiber numerator"), (f"3/{big}", "fiber denominator"),
+                             (f"-{big}/1", "fiber numerator")):
+            out = cli.run(["bound", "seifert", "--genus", "0", "--euler", "1", "--fibers", fibers])
+            self.assert_refused(out, what, 5000)
+
+    def test_graph_file(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"pieces": [{"genus": 1%s, "boundary": 1}], "edges": []}' % ("0" * 4999))
+        self.assert_refused(cli.run(["bound", "graph", str(path)]), "an integer in the graph document", 5000)
+
+    def test_class_text(self):
+        out = cli.run(["homology", "seifert", "--genus", "0", "--euler", "2", "--fibers", "2/1",
+                       "--class", "lambda=;alpha=1%s,0" % ("0" * 4400)])
+        self.assert_refused(out, "alpha coefficient", 4401)
+        out = cli.run(["homology", "seifert", "--genus", "0", "--euler", "2", "--class", "lambda=;alpha=x"])
+        assert out.exit_code == 1 and out.payload["error"].startswith("non-integer coefficient")
+
+    def test_graph_class(self, tmp_path):
+        spec = json.dumps({"pieces": [], "cycles": []}).replace("[]}", "[1%s]}" % ("0" * 4999))
+        out = cli.run(["homology", "graph", str(write_graph(tmp_path)), "--class", spec])
+        self.assert_refused(out, "an integer in the class JSON", 5000)
 
 
 GROUPS = (errors.InvalidInput, errors.StepRejected, errors.ModelCheckFailed)

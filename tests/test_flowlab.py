@@ -5,7 +5,6 @@ orbit closure 1e-6 at dt = 1e-3, transversality threshold 1e-3 on the
 sine of the crossing angle.
 """
 
-import functools
 import math
 import tracemalloc
 
@@ -165,32 +164,34 @@ class _Negated:
         return -self.field(points)
 
 
-def reference_detection(field, dt):
-    """The two orbits and their signs from six separate RK4 runs: each orbit
-    start (the b = 3/4 one under the negated field) and its two perturbations."""
+def reference_detection(lam, dt):
+    """The two orbits and their signs from six separate numpy RK4 runs of the
+    oracle field: each orbit start (the b = 3/4 one under the negated field)
+    and its two perturbations."""
+    field = reference_numerics.TorusChartField(lam)
     eps = 1e-4
     results = []
     for b_star, forward in ((0.25, True), (0.75, False)):
         x0 = np.array([(-b_star) % 1.0, 0.0, 0.0])
-        traj = fl.rk4_integrate(field if forward else _Negated(field), x0, dt, 1.0)
-        perturbed_b = fl.rk4_integrate(field, x0 + np.array([-eps, 0.0, 0.0]), dt, 1.0)
+        traj = reference_numerics.rk4_integrate(field if forward else _Negated(field), x0, dt, 1.0)
+        perturbed_b = reference_numerics.rk4_integrate(field, x0 + np.array([-eps, 0.0, 0.0]), dt, 1.0)
         b_end = (field.lam * perturbed_b.end[2] - perturbed_b.end[0]) % 1.0
         sign_b = 1 if abs((b_end - b_star + 0.5) % 1.0 - 0.5) > eps else -1
-        perturbed_x = fl.rk4_integrate(field, x0 + np.array([0.0, eps, 0.0]), dt, 1.0)
+        perturbed_x = reference_numerics.rk4_integrate(field, x0 + np.array([0.0, eps, 0.0]), dt, 1.0)
         sign_x = 1 if abs(perturbed_x.end[1]) > eps else -1
         results.append((traj, (sign_b, sign_x)))
     return results
 
 
 class TestBatchedDetection:
-    """One (6, 3) RK4 batch gives the floats of six separate runs."""
+    """The detection's forward batch and backward run give the floats of six
+    separate numpy runs."""
 
     @pytest.mark.parametrize("lam,dt", [(2, 1e-3), (-2, 1e-3), (3, 1e-3), (5, 1e-3), (20, 1e-3),
                                         (21, 1e-3), (-21, 1e-3), (22, 5e-4)])
     def test_matches_separate_runs(self, lam, dt):
-        field = fl.TorusChartField(lam)
-        batched = fl.detect_torus_orbits(field, dt=dt)
-        for (traj, signs), (ref, ref_signs) in zip(batched, reference_detection(field, dt),
+        batched = fl.detect_torus_orbits(fl.TorusChartField(lam), dt=dt)
+        for (traj, signs), (ref, ref_signs) in zip(batched, reference_detection(lam, dt),
                                                    strict=True):
             assert np.array_equal(traj.points, ref.points)
             assert np.array_equal(traj.times, ref.times)
@@ -201,7 +202,7 @@ class TestBatchedDetection:
         assert cli.run(["verify", "torus-model", "--lambda", "3",
                         "--dump-csv", str(written)]).exit_code == 0
         expected = tmp_path / "separate.csv"
-        cli._dump_orbits_csv(str(expected), reference_detection(fl.TorusChartField(3), 1e-3))
+        cli._dump_orbits_csv(str(expected), reference_detection(3, 1e-3))
         assert written.read_bytes() == expected.read_bytes()
 
 
@@ -477,10 +478,11 @@ class TestRepair:
     def test_suspension_field_shape(self):
         isotopy = fl.TranslationIsotopy(np.array([0.0, -0.05]))
         field = fl.SuspensionField(isotopy)
-        values = field(np.array([[0.0, 0.1, 0.2], [0.5, 0.1, 0.2]]))
-        assert values.shape == (2, 3)
-        assert np.allclose(values[:, 0], 1.0)
+        values = [field((0.0, 0.1, 0.2)), field((0.5, 0.1, 0.2))]
+        assert [len(v) for v in values] == [3, 3]
+        assert [v[0] for v in values] == [1.0, 1.0]
         assert values[0][2] == 0.0  # ramp flat at t = 0
+        assert values[1][2] < 0.0
 
 
 class TestCollar:
@@ -545,38 +547,46 @@ def _non_finite_message(integrate, field, x0, dt, T):
 
 
 class TestNumericsMatchReference:
-    """The in-place RK4, the collar's r-axis check and the grid boundary
-    check give the floats of the per-step reference in reference_numerics."""
+    """The float RK4, the collar's r-axis check and the grid boundary check
+    give the floats of the numpy references in reference_numerics."""
 
     @staticmethod
-    def assert_same_trajectory(field, x0, dt, T):
+    def assert_same_trajectory(field, oracle, x0, dt, T):
         got = fl.rk4_integrate(field, x0, dt, T)
-        want = reference_numerics.rk4_integrate(field, x0, dt, T)
+        want = reference_numerics.rk4_integrate(oracle, x0, dt, T)
         assert np.array_equal(got.points, want.points)
         assert np.array_equal(got.times, want.times) and got.step == want.step
 
     def test_round_handle_point_and_batch(self):
-        field = fl.RoundHandleField()
-        self.assert_same_trajectory(field, np.array([0.7, 0.5]), 1e-3, 10.0)
+        field, oracle = fl.RoundHandleField(), reference_numerics.RoundHandleField()
+        self.assert_same_trajectory(field, oracle, np.array([0.7, 0.5]), 1e-3, 10.0)
         starts = np.stack([np.linspace(-0.3, 2.9, 9), np.linspace(-0.5, 0.5, 9)], axis=-1)
-        self.assert_same_trajectory(field, starts, 1e-2, 3.0)
-        self.assert_same_trajectory(fl.RoundHandleField("repelling"), starts, 1e-2, 3.0)
+        self.assert_same_trajectory(field, oracle, starts, 1e-2, 3.0)
+        self.assert_same_trajectory(fl.RoundHandleField("repelling"),
+                                    reference_numerics.RoundHandleField("repelling"), starts, 1e-2, 3.0)
 
     @pytest.mark.parametrize("lam", [2, -2, 3, 5, 20, 21, -21])
     def test_torus_row_signed_batch(self, lam):
-        eps = 1e-4
-        starts = []
-        for b_star in (0.25, 0.75):
-            x0 = np.array([(-b_star) % 1.0, 0.0, 0.0])
-            starts += [x0, x0 + np.array([-eps, 0.0, 0.0]), x0 + np.array([0.0, eps, 0.0])]
-        field = fl._RowSigned(fl.TorusChartField(lam), (1.0, 1.0, 1.0, -1.0, 1.0, 1.0))
-        self.assert_same_trajectory(field, np.array(starts), 1e-3, 1.0)
+        # the oracle runs the detection's six starts as one batch with a
+        # per-row sign; the package runs five forward and one backward
+        starts = _detection_starts()
+        batch = reference_numerics.rk4_integrate(
+            reference_numerics.RowSigned(reference_numerics.TorusChartField(lam), (1.0, 1.0, 1.0, -1.0, 1.0, 1.0)),
+            starts, 1e-3, 1.0)
+        field = fl.TorusChartField(lam)
+        ahead = fl.rk4_integrate(field, np.delete(starts, 3, axis=0), 1e-3, 1.0)
+        behind = fl.rk4_integrate(fl._Backward(field), starts[3], 1e-3, 1.0)
+        assert np.array_equal(ahead.points, np.delete(batch.points, 3, axis=1))
+        assert np.array_equal(behind.points, batch.points[:, 3])
+        orbits = [traj.points for traj, _signs in fl.detect_torus_orbits(field)]
+        assert np.array_equal(orbits[0], batch.points[:, 0]) and np.array_equal(orbits[1], batch.points[:, 3])
 
     def test_suspension_field(self):
-        l1, l2 = fl.demo_curves()
-        isotopy, _report = fl.repair_transversality(l1, l2)
-        starts = np.concatenate([np.zeros((len(l1.points), 1)), l1.points % 1.0], axis=1)
-        self.assert_same_trajectory(fl.SuspensionField(isotopy), starts, 1e-3, 1.0)
+        # every 8th of the 513 starts: the float path steps each start on its
+        # own, at about 10 us a step
+        isotopy, starts = _demo_suspension()
+        self.assert_same_trajectory(fl.SuspensionField(isotopy), reference_numerics.SuspensionField(isotopy),
+                                    starts[::8], 1e-3, 1.0)
 
     @pytest.mark.parametrize("profiles", [
         (None, None),
@@ -602,8 +612,8 @@ class TestNumericsMatchReference:
 
     @pytest.mark.parametrize("lam", [s * m for m in range(1, 30) for s in (1, -1)])
     def test_boundary_max_error(self, lam):
-        field = fl.TorusChartField(lam)
-        assert fl.boundary_max_error(field) == reference_numerics.boundary_max_error(field)
+        got = fl.boundary_max_error(fl.TorusChartField(lam))
+        assert got == reference_numerics.boundary_max_error(reference_numerics.TorusChartField(lam))
 
     @pytest.mark.parametrize("k", [0, 1, 7, 98])
     def test_non_finite_names_the_same_step(self, k):
@@ -612,14 +622,15 @@ class TestNumericsMatchReference:
         want = _non_finite_message(reference_numerics.rk4_integrate, field, np.array([0.0]), 0.01, 1.0)
         assert got == want and got.endswith(f"step {k}")
 
-    @pytest.mark.parametrize("field,x0", [
-        (fl.RoundHandleField(), np.array([0.0, np.nan])),
-        (fl.TorusChartField(3), np.array([np.inf, 0.0, 0.0])),
-        (fl._RowSigned(fl.TorusChartField(2), (1.0, -1.0)), np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]])),
-    ], ids=["round-handle", "torus", "row-signed-batch"])
-    def test_non_finite_start_names_step_0(self, field, x0):
+    @pytest.mark.parametrize("field,oracle,x0", [
+        (fl.RoundHandleField(), reference_numerics.RoundHandleField(), np.array([0.0, np.nan])),
+        (fl.TorusChartField(3), reference_numerics.TorusChartField(3), np.array([np.inf, 0.0, 0.0])),
+        (fl.TorusChartField(2), reference_numerics.TorusChartField(2), np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]])),
+    ], ids=["round-handle", "torus", "batch"])
+    def test_non_finite_start_names_step_0(self, field, oracle, x0):
         got = _non_finite_message(fl.rk4_integrate, field, x0, 1e-3, 1.0)
-        want = _non_finite_message(reference_numerics.rk4_integrate, field, x0, 1e-3, 1.0)
+        with np.errstate(invalid="ignore"):
+            want = _non_finite_message(reference_numerics.rk4_integrate, oracle, x0, 1e-3, 1.0)
         assert got == want and got.endswith("step 0")
 
     def test_non_finite_coordinate_the_field_ignores_is_caught(self):
@@ -628,48 +639,140 @@ class TestNumericsMatchReference:
         with pytest.raises(NonFinite, match="step 0$"):
             fl.rk4_integrate(fl.RoundHandleField(), np.array([np.nan, 0.5]), 1e-3, 1.0)
 
+    @pytest.mark.parametrize("ops,x0,T", [
+        ((lambda x: 1.0 / math.sqrt(1.0 - x), lambda x: 1.0 / np.sqrt(1.0 - x)), 0.0, 1.0),
+        ((lambda x: 1.0 / math.floor(2.0 - x), lambda x: 1.0 / np.floor(2.0 - x)), 0.0, 2.0),
+        ((math.exp, np.exp), 0.0, 2.0),
+    ], ids=["ValueError", "ZeroDivisionError", "OverflowError"])
+    def test_field_exception_names_the_oracle_step(self, ops, x0, T):
+        # math raises past its domain where numpy returns nan or inf: the rest
+        # of the path is non-finite, from the step where numpy's value was
+        float_op, array_op = ops
+        got = _non_finite_message(fl.rk4_integrate, _Line(float_op), np.array([x0]), 0.01, T)
+        with np.errstate(all="ignore"):
+            want = _non_finite_message(reference_numerics.rk4_integrate, _Line(array_op), np.array([x0]), 0.01, T)
+        assert got == want and not got.endswith("step 0")
 
-def _suspension_starts():
-    l1, l2 = fl.demo_curves()
-    isotopy, _report = fl.repair_transversality(l1, l2)
-    starts = np.concatenate([np.zeros((len(l1.points), 1)), l1.points % 1.0], axis=1)
-    return fl.SuspensionField(isotopy), starts
+
+class _Line:
+    """dx/dt = op(x) on a line, for a float op on a one-point list or an
+    array op on a (1,) array."""
+
+    dim = 1
+    circle_mask = (False,)
+
+    def __init__(self, op):
+        self.op = op
+
+    def __call__(self, point):
+        return (self.op(point[0]),) if isinstance(point, list) else self.op(np.asarray(point, dtype=float))
 
 
-def _torus_batch():
+@st.composite
+def _oracle_cases(draw):
+    """A float chart field, its numpy oracle, starts and a step."""
+    model = draw(st.sampled_from(["torus", "torus backward", "attracting", "repelling"]))
+    if model.startswith("torus"):
+        lam = draw(st.integers(1, 21)) * draw(st.sampled_from([1, -1]))
+        field, oracle = fl.TorusChartField(lam), reference_numerics.TorusChartField(lam)
+        if model == "torus backward":
+            field, oracle = fl._Backward(field), _Negated(oracle)
+        coordinate = [st.floats(-2.0, 2.0), st.floats(-1.5, 1.5), st.floats(-2.0, 2.0)]
+    else:
+        field, oracle = fl.RoundHandleField(model), reference_numerics.RoundHandleField(model)
+        coordinate = [st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)]
+    starts = draw(st.lists(st.tuples(*coordinate), min_size=1, max_size=4))
+    dt = draw(st.sampled_from([1e-3, 5e-4, 1e-2]))
+    return field, oracle, np.array(starts), dt, draw(st.integers(1, 120)) * dt
+
+
+class TestFloatPathMatchesOracle:
+    """RK4 in float arithmetic, one start at a time, against the numpy batch
+    of the oracle fields, bit for bit."""
+
+    @given(case=_oracle_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_same_floats(self, case):
+        field, oracle, starts, dt, T = case
+        got = fl.rk4_integrate(field, starts, dt, T)
+        want = reference_numerics.rk4_integrate(oracle, starts, dt, T)
+        assert np.array_equal(got.points, want.points) and np.array_equal(got.times, want.times)
+
+    def test_torus_field_on_one_point(self):
+        rng = np.random.default_rng(3)
+        points = rng.uniform(-3.0, 3.0, (200, 3))
+        for lam in (1, -4, 21):
+            want = reference_numerics.TorusChartField(lam, g_shift=0.25)(points)
+            got = np.array([fl.TorusChartField(lam, g_shift=0.25)(p) for p in points.tolist()])
+            assert np.array_equal(got, want)
+
+
+def _detection_starts():
     eps = 1e-4
     starts = []
     for b_star in (0.25, 0.75):
         x0 = np.array([(-b_star) % 1.0, 0.0, 0.0])
         starts += [x0, x0 + np.array([-eps, 0.0, 0.0]), x0 + np.array([0.0, eps, 0.0])]
-    return fl._RowSigned(fl.TorusChartField(3), (1.0, 1.0, 1.0, -1.0, 1.0, 1.0)), np.array(starts)
+    return np.array(starts)
+
+
+def _demo_suspension():
+    """The glue demo's isotopy and its (513, 3) suspension starts (0, a, b)."""
+    l1, l2 = fl.demo_curves()
+    isotopy, _report = fl.repair_transversality(l1, l2)
+    return isotopy, np.concatenate([np.zeros((len(l1.points), 1)), l1.points % 1.0], axis=1)
+
+
+def _torus_grid():
+    """Another isotopy, and starts on a 24 x 24 grid over three periods of the torus."""
+    axis = np.linspace(-1.0, 2.0, 24)
+    a, b = np.meshgrid(axis, axis, indexing="ij")
+    ab = np.stack([a.ravel(), b.ravel()], axis=-1)
+    return fl.TranslationIsotopy(np.array([0.13, -0.2])), np.concatenate([np.zeros((len(ab), 1)), ab], axis=1)
+
+
+class _SuspensionBlowsUp(fl.SuspensionField):
+    """The suspension with an infinite a-velocity from t = limit on."""
+
+    def __init__(self, isotopy, limit):
+        super().__init__(isotopy)
+        self.limit = limit
+
+    def __call__(self, point):
+        return super().__call__(point) if point[0] < self.limit else (1.0, math.inf, 0.0)
 
 
 class TestEndStateOnly:
-    """rk4_integrate(..., keep_path=False) steps two rows in place: the same
-    floats as the whole path, with every sample time kept."""
+    """flow_suspension steps the suspension on one shared time track: the
+    end state of the (513, 3) numpy oracle run and of rk4_integrate."""
 
-    @pytest.mark.parametrize("case", [_suspension_starts, _torus_batch], ids=["suspension", "torus-batch"])
+    @pytest.mark.parametrize("case", [_demo_suspension, _torus_grid], ids=["suspension", "torus-batch"])
     def test_end_state_is_bit_identical(self, case):
-        field, starts = case()
-        full = fl.rk4_integrate(field, starts, 1e-3, 1.0)
-        ends = fl.rk4_integrate(field, starts, 1e-3, 1.0, keep_path=False)
-        assert ends.points.shape == (2,) + starts.shape
-        assert np.array_equal(ends.start, full.start) and np.array_equal(ends.end, full.end)
-        assert np.array_equal(ends.times, full.times) and ends.step == full.step
+        isotopy, starts = case()
+        ends = fl.flow_suspension(fl.SuspensionField(isotopy), starts[:, 1:], 1e-3, 1.0)
+        want = reference_numerics.rk4_integrate(reference_numerics.SuspensionField(isotopy), starts, 1e-3, 1.0)
+        assert np.array_equal(ends, want.end[:, 1:])
+        some = fl.rk4_integrate(fl.SuspensionField(isotopy), starts[::16], 1e-3, 1.0)
+        assert np.array_equal(ends[::16], some.end[:, 1:])
 
     @pytest.mark.parametrize("k", [0, 1, 7, 98])
     def test_non_finite_names_the_same_step(self, k):
-        field = _blows_up_at(k, 0.01)
-        end_only = functools.partial(fl.rk4_integrate, keep_path=False)
-        got = _non_finite_message(end_only, field, np.array([0.0]), 0.01, 1.0)
-        assert got == _non_finite_message(fl.rk4_integrate, field, np.array([0.0]), 0.01, 1.0)
+        isotopy, starts = _demo_suspension()
+        field = _SuspensionBlowsUp(isotopy, (k + 0.5) * 0.01)
+        with pytest.raises(NonFinite) as info:
+            fl.flow_suspension(field, starts[:, 1:], 0.01, 1.0)
+        got = str(info.value)
+        assert got == _non_finite_message(fl.rk4_integrate, field, starts[:3], 0.01, 1.0)
         assert got.endswith(f"step {k}")
 
     def test_non_finite_start_names_step_0(self):
-        end_only = functools.partial(fl.rk4_integrate, keep_path=False)
-        got = _non_finite_message(end_only, fl.RoundHandleField(), np.array([np.nan, 0.5]), 1e-3, 1.0)
-        assert got.endswith("step 0")
+        isotopy, starts = _demo_suspension()
+        starts[7, 2] = np.nan
+        field = fl.SuspensionField(isotopy)
+        with pytest.raises(NonFinite) as info:
+            fl.flow_suspension(field, starts[:, 1:], 1e-3, 1.0)
+        assert str(info.value) == _non_finite_message(fl.rk4_integrate, field, starts[:16], 1e-3, 1.0)
+        assert str(info.value).endswith("step 0")
 
     def test_glue_demo_traced_peak(self):
         # the full (1001, 513, 3) suspension path alone would be 12.3 MB
