@@ -95,13 +95,22 @@ class CommandOutcome:
         return json.dumps(self.payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _int_flag(what: str):
+    """argparse type of an integer flag: past the digit limit a MalformedSpec
+    naming `what`, as for --fibers (see _decimal_int)."""
+    def parse(text: str) -> int:
+        return _decimal_int(text, what)
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="msflow", description="Orbit budgets for non-singular Morse-Smale flows")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def seifert_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--genus", type=int, required=True)
-        p.add_argument("--euler", type=int, required=True)
+        p.add_argument("--genus", type=_int_flag("genus"), required=True)
+        p.add_argument("--euler", type=_int_flag("euler number"), required=True)
         p.add_argument("--fibers", default="", help="surgery coefficients, e.g. 2/1;3/1;5/1")
 
     bound = sub.add_parser("bound", help="closed-form orbit bounds")
@@ -133,7 +142,7 @@ def _build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="numerical checks of the local models")
     verify_sub = verify.add_subparsers(dest="target", required=True)
     torus = verify_sub.add_parser("torus-model")
-    torus.add_argument("--lambda", dest="lam", type=int, required=True)
+    torus.add_argument("--lambda", dest="lam", type=_int_flag("lambda"), required=True)
     torus.add_argument("--dump-csv", dest="dump_csv")
     verify_sub.add_parser("round-handle")
     verify_sub.add_parser("glue-demo")

@@ -52,7 +52,7 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(tuple(int(v) for v in row) for row in self.entries)
+        entries = tuple(tuple(_require_int(v, "matrix entry") for v in row) for row in self.entries)
         if len(entries) != self.rows or any(len(r) != self.cols for r in entries):
             raise DimensionMismatch(f"entries do not form a {self.rows}x{self.cols} matrix")
         object.__setattr__(self, "entries", entries)
@@ -285,7 +285,7 @@ def _solve(relations: IntMatrix, reduction: _Reduction, v: tuple[int, ...]) -> t
     y @ U with y_row = w_col / (sign * d), and is re-multiplied through R as
     a final guard.
     """
-    v = tuple(int(x) for x in v)
+    v = tuple(_require_int(x, "vector entry") for x in v)
     w = list(v)
     for j, c, f in reduction.col_ops:
         w[j] += f * w[c]

@@ -15,10 +15,10 @@ from msflow.flowlab import CROSS_TOL
 
 
 def _segment_data(points):
-    starts = points[:-1] % 1.0
+    # each start is its wrapped midpoint less half the delta: one period per segment
     deltas = points[1:] - points[:-1]
-    mids = (starts + 0.5 * deltas) % 1.0
-    return starts, deltas, mids
+    mids = (points[:-1] + 0.5 * deltas) % 1.0
+    return mids - 0.5 * deltas, deltas, mids
 
 
 def _cross(a, b):
@@ -29,7 +29,9 @@ def merged_crossings(c1, c2):
     """One [x, y, |unit cross|] per crossing, duplicates keeping the smaller sine."""
     s1, d1, m1 = _segment_data(c1.points)
     s2, d2, m2 = _segment_data(c2.points)
-    cells = 64
+    # buckets at least as wide as the largest segment extent, at most 64 per circle
+    extent = max(np.abs(d1).max(), np.abs(d2).max())
+    cells = 64 if extent <= 1 / 64 else max(1, int(1 / extent))
     buckets: dict[tuple[int, int], list[int]] = {}
     for j, mid in enumerate(m2):
         buckets.setdefault((int(mid[0] * cells) % cells, int(mid[1] * cells) % cells), []).append(j)

@@ -3,7 +3,7 @@
 Each function or field here does the work the simple way: the chart fields
 evaluate arrays of points with numpy, RK4 steps a whole batch of points
 with a fresh wrapped copy and a finiteness check at every step, the
-collar field is evaluated on the full grid_side^3 grid, and the boundary
+collar field is evaluated on the full 64^3 grid, and the boundary
 check runs at seeded random points.  They are test oracles for the
 package's float and in-place versions, not used by the package.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from msflow.errors import NonFinite, VanishingField
-from msflow.flowlab import CollarField, Trajectory
+from msflow.flowlab import Trajectory
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,25 +64,24 @@ class RoundHandleField:
 
 
 class SuspensionField:
-    """flowlab.SuspensionField on arrays of points, from a
-    flowlab.TranslationIsotopy."""
+    """A flowlab.SuspensionField on arrays of points."""
 
     dim = 3
     circle_mask = (False, True, True)
 
-    def __init__(self, isotopy) -> None:
-        self.isotopy = isotopy
+    def __init__(self, field) -> None:
+        self.field = field
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        eps = self.isotopy.eps
+        eps = self.field.eps
         u = (points[..., 0] - eps) / (1.0 - 2.0 * eps)
         inside = (u > 0.0) & (u < 1.0)
         du = np.where(inside, 6.0 * u * (1.0 - u), 0.0) / (1.0 - 2.0 * eps)
         out = np.empty_like(points)
         out[..., 0] = 1.0
-        out[..., 1] = du * self.isotopy.displacement[0]
-        out[..., 2] = du * self.isotopy.displacement[1]
+        out[..., 1] = du * self.field.displacement[0]
+        out[..., 2] = du * self.field.displacement[1]
         return out
 
 
@@ -123,16 +122,16 @@ def rk4_integrate(field, x0, dt: float, T: float) -> Trajectory:
             raise NonFinite(f"field evaluation produced a non-finite value near step {i}")
         x = _wrap(x + step, mask)
         points[i + 1] = x
-    return Trajectory(times=np.arange(n + 1) * dt, points=points, step=dt)
+    return Trajectory(times=np.arange(n + 1) * dt, points=points)
 
 
-def collar_min_norm(f_profile, g_profile, grid_side: int = 64) -> float:
-    """Smallest sup-norm of the collar field over the grid_side^3 grid;
-    raises VanishingField naming the r of the first zero."""
-    field = CollarField(f_profile, g_profile)
-    axis = np.linspace(0.0, 1.0, grid_side)
-    r, th1, th2 = np.meshgrid(axis, axis, axis, indexing="ij")
-    values = field(np.stack([r, th1, th2], axis=-1))
+def collar_min_norm(f_profile, g_profile) -> float:
+    """Smallest sup-norm of the collar field (g(r), f(r), 0) over the 64^3
+    grid of (r, fiber, base); raises VanishingField naming the r of the
+    first zero."""
+    axis = np.linspace(0.0, 1.0, 64)
+    r, _fiber, _base = np.meshgrid(axis, axis, axis, indexing="ij")
+    values = np.stack([g_profile(r), f_profile(r), np.zeros_like(r)], axis=-1)
     norms = np.max(np.abs(values), axis=-1)
     min_norm = float(norms.min())
     if min_norm <= 0.0:

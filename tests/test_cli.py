@@ -530,6 +530,19 @@ class TestIntegerDigitLimit:
             out = cli.run(["bound", "seifert", "--genus", "0", "--euler", "1", "--fibers", fibers])
             self.assert_refused(out, what, 5000)
 
+    def test_genus_flag(self):
+        out = cli.run(["bound", "seifert", "--genus", "1" + "0" * 4300, "--euler", "1"])
+        self.assert_refused(out, "genus", 4301)
+
+    def test_euler_flag(self):
+        out = cli.run(["homology", "seifert", "--genus", "0", "--euler", "-" + "7" * 4301])
+        self.assert_refused(out, "euler number", 4301)
+
+    def test_lambda_flag(self):
+        self.assert_refused(cli.run(["verify", "torus-model", "--lambda", "2" * 5000]), "lambda", 5000)
+        out = cli.run(["verify", "torus-model", "--lambda", "2.5"])
+        assert out.exit_code == 1 and out.payload == {"error": "argument --lambda: invalid int value: '2.5'"}
+
     def test_graph_file(self, tmp_path):
         path = tmp_path / "big.json"
         path.write_text('{"pieces": [{"genus": 1%s, "boundary": 1}], "edges": []}' % ("0" * 4999))

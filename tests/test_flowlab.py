@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from msflow.errors import (
     DegenerateOverlap,
@@ -195,7 +195,7 @@ class TestBatchedDetection:
                                                    strict=True):
             assert np.array_equal(traj.points, ref.points)
             assert np.array_equal(traj.times, ref.times)
-            assert traj.step == ref.step and signs == ref_signs
+            assert signs == ref_signs
 
     def test_csv_dump_is_unchanged(self, tmp_path):
         written = tmp_path / "batched.csv"
@@ -298,6 +298,33 @@ class TestIntersections:
         b = fl.TorusCurve.line(1, 3, n=2048)
         pts = fl.curve_intersections(a, b)
         assert len(pts) == 3 and all(t for _, t in pts)
+
+
+@st.composite
+def _crossing_lines(draw):
+    """Two straight lines of coprime, non-parallel classes with |p|, |q| <= 40
+    at generic offsets."""
+    coprime = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(lambda v: math.gcd(*v) == 1)
+    (p1, q1), (p2, q2) = draw(coprime), draw(coprime)
+    assume(p1 * q2 - q1 * p2 != 0)
+    return tuple(fl.TorusCurve.line(p, q, draw(st.floats(-0.5, 0.5)), n=draw(st.sampled_from([512, 600])))
+                 for p, q in ((p1, q1), (p2, q2)))
+
+
+class TestIntersectionNumber:
+    """Straight lines cross exactly |p1*q2 - q1*p2| times, without an oracle:
+    segments that straddle a seam, and segments longer than 1/64, are found."""
+
+    @given(pair=_crossing_lines())
+    @example(pair=(fl.TorusCurve.line(2, 3, 0.0371), fl.TorusCurve.line(5, -7, 0.1123)))
+    @example(pair=(fl.TorusCurve.line(1, 0, 0.0371), fl.TorusCurve.line(1, 40, 0.1123)))
+    @example(pair=(fl.TorusCurve.line(40, 39, 0.3), fl.TorusCurve.line(39, 38, -0.2)))
+    @settings(max_examples=40, deadline=None)
+    def test_count_is_the_intersection_number(self, pair):
+        # transversality is not asserted: (40, 39) and (39, 38) cross at a
+        # sine of 3.3e-4, below the default threshold
+        (p1, q1), (p2, q2) = (curve.homology_class for curve in pair)
+        assert len(fl.curve_intersections(*pair)) == abs(p1 * q2 - q1 * p2)
 
 
 def _random_pair():
@@ -446,15 +473,14 @@ class TestIntersectionsMatchReference:
 class TestRepair:
     def test_demo_repair(self):
         l1, l2 = fl.demo_curves()
-        isotopy, report = fl.repair_transversality(l1, l2)
+        report = fl.repair_transversality(l1, l2)
         assert report["pass"]
         assert report["displacement"] == pytest.approx([0.0, -0.05])
         assert report["intersections_before"] == {"count": 1, "non_transverse": 1}
         assert report["intersections_after"] == {"count": 0, "non_transverse": 0}
         assert report["parity"] == {"target": 0, "after": 0}
+        # the time-1 flow of the suspension is the whole translation
         assert report["suspension_error"] < 1e-6
-        assert np.allclose(isotopy(0.0, np.zeros(2)), [0.0, 0.0])
-        assert np.allclose(isotopy(1.0, np.zeros(2)), [0.0, -0.05])
 
     def test_mixed_curve_repair(self):
         l1 = fl.TorusCurve.line(1, 0)
@@ -465,7 +491,7 @@ class TestRepair:
         before = fl.curve_intersections(l1, mixed)
         assert len(before) == 3
         assert sum(1 for _, t in before if not t) == 1
-        _isotopy, report = fl.repair_transversality(l1, mixed)
+        report = fl.repair_transversality(l1, mixed)
         assert report["pass"]
         assert report["intersections_after"] == {"count": 2, "non_transverse": 0}
 
@@ -476,8 +502,7 @@ class TestRepair:
             fl.repair_transversality(a, c)
 
     def test_suspension_field_shape(self):
-        isotopy = fl.TranslationIsotopy(np.array([0.0, -0.05]))
-        field = fl.SuspensionField(isotopy)
+        field = fl.SuspensionField(np.array([0.0, -0.05]))
         values = [field((0.0, 0.1, 0.2)), field((0.5, 0.1, 0.2))]
         assert [len(v) for v in values] == [3, 3]
         assert [v[0] for v in values] == [1.0, 1.0]
@@ -487,11 +512,10 @@ class TestRepair:
 
 class TestCollar:
     def test_default_profiles_pass(self):
-        field, report = fl.collar_reference_field()
+        report = fl.collar_reference_field()
         assert report["pass"]
         assert report["min_norm"] >= 0.5
         assert np.allclose(report["boundary_field"], [1.0, 0.0, 0.0], atol=1e-12)
-        assert np.allclose(field(np.zeros(3)), [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_vanishing_profiles_detected(self):
         f = lambda r: np.clip((np.asarray(r) - 0.6) / 0.4, 0.0, 1.0)
@@ -555,7 +579,7 @@ class TestNumericsMatchReference:
         got = fl.rk4_integrate(field, x0, dt, T)
         want = reference_numerics.rk4_integrate(oracle, x0, dt, T)
         assert np.array_equal(got.points, want.points)
-        assert np.array_equal(got.times, want.times) and got.step == want.step
+        assert np.array_equal(got.times, want.times)
 
     def test_round_handle_point_and_batch(self):
         field, oracle = fl.RoundHandleField(), reference_numerics.RoundHandleField()
@@ -584,9 +608,8 @@ class TestNumericsMatchReference:
     def test_suspension_field(self):
         # every 8th of the 513 starts: the float path steps each start on its
         # own, at about 10 us a step
-        isotopy, starts = _demo_suspension()
-        self.assert_same_trajectory(fl.SuspensionField(isotopy), reference_numerics.SuspensionField(isotopy),
-                                    starts[::8], 1e-3, 1.0)
+        field, starts = _demo_suspension()
+        self.assert_same_trajectory(field, reference_numerics.SuspensionField(field), starts[::8], 1e-3, 1.0)
 
     @pytest.mark.parametrize("profiles", [
         (None, None),
@@ -595,19 +618,18 @@ class TestNumericsMatchReference:
     ], ids=["default", "power", "trig"])
     def test_collar_min_norm(self, profiles):
         f, g = profiles
-        _field, report = fl.collar_reference_field(f, g)
+        report = fl.collar_reference_field(f, g)
         f = f or (lambda r: fl.smoothstep(r))
         g = g or (lambda r: 1.0 - fl.smoothstep(r))
         assert report["min_norm"] == reference_numerics.collar_min_norm(f, g)
 
-    @pytest.mark.parametrize("grid_side", [64, 65])
-    def test_collar_vanishing_message(self, grid_side):
+    def test_collar_vanishing_message(self):
         f = lambda r: np.clip((np.asarray(r) - 0.6) / 0.4, 0.0, 1.0)
         g = lambda r: np.maximum(0.0, 1.0 - 2.5 * np.asarray(r))
         with pytest.raises(VanishingField) as got:
-            fl.collar_reference_field(f, g, grid_side=grid_side)
+            fl.collar_reference_field(f, g)
         with pytest.raises(VanishingField) as want:
-            reference_numerics.collar_min_norm(f, g, grid_side)
+            reference_numerics.collar_min_norm(f, g)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("lam", [s * m for m in range(1, 30) for s in (1, -1)])
@@ -717,25 +739,25 @@ def _detection_starts():
 
 
 def _demo_suspension():
-    """The glue demo's isotopy and its (513, 3) suspension starts (0, a, b)."""
+    """The glue demo's suspension field and its (513, 3) starts (0, a, b)."""
     l1, l2 = fl.demo_curves()
-    isotopy, _report = fl.repair_transversality(l1, l2)
-    return isotopy, np.concatenate([np.zeros((len(l1.points), 1)), l1.points % 1.0], axis=1)
+    field = fl.SuspensionField(fl.repair_transversality(l1, l2)["displacement"])
+    return field, np.concatenate([np.zeros((len(l1.points), 1)), l1.points % 1.0], axis=1)
 
 
 def _torus_grid():
-    """Another isotopy, and starts on a 24 x 24 grid over three periods of the torus."""
+    """Another suspension, and starts on a 24 x 24 grid over three periods of the torus."""
     axis = np.linspace(-1.0, 2.0, 24)
     a, b = np.meshgrid(axis, axis, indexing="ij")
     ab = np.stack([a.ravel(), b.ravel()], axis=-1)
-    return fl.TranslationIsotopy(np.array([0.13, -0.2])), np.concatenate([np.zeros((len(ab), 1)), ab], axis=1)
+    return fl.SuspensionField(np.array([0.13, -0.2])), np.concatenate([np.zeros((len(ab), 1)), ab], axis=1)
 
 
 class _SuspensionBlowsUp(fl.SuspensionField):
     """The suspension with an infinite a-velocity from t = limit on."""
 
-    def __init__(self, isotopy, limit):
-        super().__init__(isotopy)
+    def __init__(self, displacement, limit):
+        super().__init__(displacement)
         self.limit = limit
 
     def __call__(self, point):
@@ -748,17 +770,17 @@ class TestEndStateOnly:
 
     @pytest.mark.parametrize("case", [_demo_suspension, _torus_grid], ids=["suspension", "torus-batch"])
     def test_end_state_is_bit_identical(self, case):
-        isotopy, starts = case()
-        ends = fl.flow_suspension(fl.SuspensionField(isotopy), starts[:, 1:], 1e-3, 1.0)
-        want = reference_numerics.rk4_integrate(reference_numerics.SuspensionField(isotopy), starts, 1e-3, 1.0)
+        field, starts = case()
+        ends = fl.flow_suspension(field, starts[:, 1:], 1e-3, 1.0)
+        want = reference_numerics.rk4_integrate(reference_numerics.SuspensionField(field), starts, 1e-3, 1.0)
         assert np.array_equal(ends, want.end[:, 1:])
-        some = fl.rk4_integrate(fl.SuspensionField(isotopy), starts[::16], 1e-3, 1.0)
+        some = fl.rk4_integrate(field, starts[::16], 1e-3, 1.0)
         assert np.array_equal(ends[::16], some.end[:, 1:])
 
     @pytest.mark.parametrize("k", [0, 1, 7, 98])
     def test_non_finite_names_the_same_step(self, k):
-        isotopy, starts = _demo_suspension()
-        field = _SuspensionBlowsUp(isotopy, (k + 0.5) * 0.01)
+        demo, starts = _demo_suspension()
+        field = _SuspensionBlowsUp(demo.displacement, (k + 0.5) * 0.01)
         with pytest.raises(NonFinite) as info:
             fl.flow_suspension(field, starts[:, 1:], 0.01, 1.0)
         got = str(info.value)
@@ -766,9 +788,8 @@ class TestEndStateOnly:
         assert got.endswith(f"step {k}")
 
     def test_non_finite_start_names_step_0(self):
-        isotopy, starts = _demo_suspension()
+        field, starts = _demo_suspension()
         starts[7, 2] = np.nan
-        field = fl.SuspensionField(isotopy)
         with pytest.raises(NonFinite) as info:
             fl.flow_suspension(field, starts[:, 1:], 1e-3, 1.0)
         assert str(info.value) == _non_finite_message(fl.rk4_integrate, field, starts[:16], 1e-3, 1.0)

@@ -78,6 +78,12 @@ class TestIntMatrix:
         with pytest.raises(DimensionMismatch):
             IntMatrix(2, 2, ((1, 2), (3,)))
 
+    @pytest.mark.parametrize("entry", [2.7, True])
+    def test_non_integer_entry_rejected(self, entry):
+        # coercing with int() stored 2.7 as 2
+        with pytest.raises(MalformedSpec, match="matrix entry must be an integer"):
+            IntMatrix(1, 1, ((entry,),))
+
     def test_zero_row_matrix_keeps_width(self):
         m = IntMatrix(0, 3, ())
         assert (m.rows, m.cols) == (0, 3)
@@ -159,6 +165,11 @@ class TestSolveInImage:
         a = IntMatrix.from_rows(((2, 4),), 2)
         assert solve_in_image(a, (3,)) is None
 
+    def test_non_integer_target_rejected(self):
+        # coercing with int() solved 2 * x = 2.5 with the wrong witness x = 1
+        with pytest.raises(MalformedSpec, match="vector entry must be an integer, got 2.5"):
+            solve_in_image(IntMatrix.from_rows(((2,),), 1), (2.5,))
+
     def test_zero_target_always_solvable(self):
         a = IntMatrix.from_rows(((3, 0), (0, 5)), 2)
         assert solve_in_image(a, (0, 0)) is not None
@@ -194,6 +205,11 @@ class TestSeifertHomology:
     def test_poincare_sphere_trivial(self):
         g = seifert_h1(closed(0, -1, ((2, 1), (3, 1), (5, 1))))
         assert g.is_trivial() and g.describe() == "0"
+
+    def test_non_integer_class_rejected(self):
+        # coercing with int() called 2.9 trivial in Z/2
+        with pytest.raises(MalformedSpec, match="vector entry must be an integer, got 2.9"):
+            seifert_h1(closed(0, 2)).is_trivial_class((2.9,))
 
     @pytest.mark.parametrize("e", [-3, -2, -1, 1, 2, 3])
     def test_circle_bundle_over_sphere(self, e):
