@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-# set before numpy loads: a 2-vector dot product never repays starting OpenBLAS's thread pool
+# set before numpy loads, which starts OpenBLAS's thread pool; msflow makes no BLAS call
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import flowlab

@@ -21,15 +21,17 @@ endpoint difference is the integer homology class.  Each segment is
 placed in the period of its wrapped midpoint, and intersection tests
 translate candidate segments into a common fundamental domain, so they
 are exact up to float arithmetic, not up to wrapping artifacts.  Segments
-are bucketed by midpoint in buckets at least as wide as the longest
-segment, so crossing segments always lie in neighbouring buckets, and the
-candidate pairs are evaluated as arrays.
+are bucketed by midpoint in a dict, in cells at least as wide as the
+longest segment extent, so crossing segments always lie in neighbouring
+cells; the few candidate pairs are evaluated one at a time in float
+arithmetic.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -349,96 +351,25 @@ class TorusCurve:
         return TorusCurve(self.points + np.asarray(vec, dtype=float))
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+def _segments(points: np.ndarray, deltas: np.ndarray, cells: int):
+    """Columns of segment starts, deltas, wrapped midpoints and lengths, as
+    array('d') (start x, start y, delta x, delta y, mid x, mid y, length),
+    and the grid cell (x, y) of each midpoint.  Each start is its midpoint
+    less half its delta, so a segment straddling a seam keeps its start and
+    midpoint in one period."""
+    mids = (points[:-1] + 0.5 * deltas) % 1.0
+    starts = mids - 0.5 * deltas
+    lengths = np.sqrt(deltas[:, 0] * deltas[:, 0] + deltas[:, 1] * deltas[:, 1])
+    cols = [array("d", col.tobytes()) for col in (*starts.T, *deltas.T, *mids.T, lengths)]
+    return cols, np.floor(mids * cells).astype(np.int64)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # rowwise a[k] @ b[k]; matmul rounds like the 1-D dot of a single pair
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _segment_data(curve: TorusCurve) -> tuple[np.ndarray, ...]:
-    # segment starts, raw deltas, wrapped midpoints, lengths; each start is
-    # its midpoint less half its delta, so a segment straddling a seam keeps
-    # its start and midpoint in one period
-    deltas = curve.points[1:] - curve.points[:-1]
-    mids = (curve.points[:-1] + 0.5 * deltas) % 1.0
-    return mids - 0.5 * deltas, deltas, mids, np.sqrt(_dot(deltas, deltas))
-
-
-_CELLS = 64  # most midpoint buckets per circle; pairs in touching buckets are candidates
 _NEIGHBOURS = tuple((ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1))
-_PAIR_CHUNK = 1 << 11  # candidate pairs per array pass; bounds the ~20 per-pair temporaries
 
 
-def _cell_count(d1: np.ndarray, d2: np.ndarray) -> int:
-    """Buckets per circle: min(64, floor(1/e)), e the largest coordinate of
-    any segment delta.  Crossing segments have midpoints within e of each
-    other in each coordinate, so buckets at least e wide keep them
-    neighbours."""
-    e = max(float(np.abs(d1).max()), float(np.abs(d2).max()))
-    return _CELLS if e * _CELLS <= 1.0 else max(1, math.floor(1.0 / e))
-
-
-def _cells(mids: np.ndarray, cells: int) -> np.ndarray:
-    return np.floor(mids * cells).astype(np.int64) % cells
-
-
-def _candidate_pairs(m1: np.ndarray, m2: np.ndarray, cells: int):
-    """Yield (i, j) index arrays of the segment pairs whose midpoints lie in
-    neighbouring cells of a cells x cells grid, in chunks of about
-    _PAIR_CHUNK pairs."""
-    k2 = _cells(m2, cells)
-    cell2 = k2[:, 0] * cells + k2[:, 1]
-    by_cell = np.argsort(cell2, kind="stable")
-    counts = np.bincount(cell2, minlength=cells * cells)
-    first = np.cumsum(counts) - counts
-    k1 = _cells(m1, cells)[:, None, :] + _NEIGHBOURS
-    near = (k1[..., 0] % cells) * cells + k1[..., 1] % cells  # (len(m1), 9) cell ids
-    per_row = counts[near].sum(axis=1)
-    cuts = np.searchsorted(np.cumsum(per_row),
-                           np.arange(_PAIR_CHUNK, per_row.sum(), _PAIR_CHUNK), side="right")
-    for rows in np.split(np.arange(len(m1)), cuts):
-        cells = near[rows].ravel()
-        n = counts[cells]
-        total = int(n.sum())
-        if total == 0:
-            continue
-        i = np.repeat(np.repeat(rows, len(_NEIGHBOURS)), n)
-        slot = np.repeat(first[cells] - (np.cumsum(n) - n), n) + np.arange(total)
-        yield i, by_cell[slot]
-
-
-def _pair_crossings(i, j, seg1, seg2):
-    """Crossing points and |sine of the crossing angle| of the candidate
-    pairs (i, j), each segment j translated by the integer vector that
-    brings it next to segment i.  Raises DegenerateOverlap if any pair is
-    collinear with an overlap of positive length."""
-    s1, d1, m1, n1 = seg1
-    s2, d2, m2, n2 = seg2
-    p, r, w = s1[i], d1[i], d2[j]
-    qp = s2[j] + np.round(m1[i] - m2[j]) - p
-    rw = _cross(r, w)
-    scale = n1[i] * n2[j]
-    parallel = np.abs(rw) <= 1e-12 * scale
-    line = np.flatnonzero(parallel & (scale != 0.0))
-    line = line[np.abs(_cross(qp[line], r[line])) <= 1e-9 * np.maximum(n1[i[line]], 1.0)]
-    if len(line):  # parallel pairs on one line: do they overlap?
-        rr = _dot(r[line], r[line])
-        t0 = _dot(qp[line], r[line]) / rr
-        t1 = t0 + _dot(w[line], r[line]) / rr
-        lo, hi = np.minimum(t0, t1), np.maximum(t0, t1)
-        if np.any(np.minimum(hi, 1.0) - np.maximum(lo, 0.0) > 1e-9):
-            raise DegenerateOverlap("curves share a positive-length segment")
-    keep = ~parallel & (scale != 0.0)
-    p, r, w, qp, rw, scale = p[keep], r[keep], w[keep], qp[keep], rw[keep], scale[keep]
-    s = _cross(qp, w) / rw
-    u = _cross(qp, r) / rw
-    eps = 1e-9
-    hit = (-eps <= s) & (s <= 1 + eps) & (-eps <= u) & (u <= 1 + eps)
-    points = (p[hit] + s[hit, None] * r[hit]) % 1.0
-    return points, np.abs(rw[hit]) / scale[hit]
+def _cell_ids(cell: np.ndarray, cells: int) -> list:
+    cell = cell % cells
+    return (cell[..., 0] * cells + cell[..., 1]).tolist()
 
 
 def curve_intersections(c1: TorusCurve, c2: TorusCurve, tol: float = CROSS_TOL):
@@ -448,21 +379,58 @@ def curve_intersections(c1: TorusCurve, c2: TorusCurve, tol: float = CROSS_TOL):
     crossing angle exceeds `tol`.  A pair of collinear overlapping segments
     raises DegenerateOverlap since no crossing angle exists there.
 
-    Segments are bucketed by midpoint on a grid of at most 64 x 64 buckets,
-    each at least as wide as the largest segment extent; the candidate
-    pairs from neighbouring buckets are evaluated as arrays, a chunk at a
-    time.  A crossing at a shared vertex is found by both segments; such
-    duplicates merge into one point that keeps the smaller sine.
+    Segments of c2 are bucketed by midpoint in a dict, on a grid of
+    floor(1/e) cells per circle, e the largest coordinate of any segment
+    delta: crossing segments have midpoints within e of each other in each
+    coordinate, so they lie in neighbouring cells.  Each segment of c1 is
+    tested against the segments in its (deduplicated) neighbour cells, in
+    float arithmetic, with c2's segment translated by the integer vector
+    that brings it next to c1's.  A crossing at a shared vertex is found by
+    both segments; such duplicates merge into one point that keeps the
+    smaller sine.
     """
-    seg1, seg2 = _segment_data(c1), _segment_data(c2)
+    d1, d2 = c1.points[1:] - c1.points[:-1], c2.points[1:] - c2.points[:-1]
+    # 1 to 2^31 cells per circle, so a cell's id x * cells + y fits in int64
+    e = max(float(np.abs(d1).max()), float(np.abs(d2).max()), 2.0 ** -31)
+    cells = max(1, math.floor(1.0 / e))
+    seg1, cell1 = _segments(c1.points, d1, cells)
+    (s2x, s2y, d2x, d2y, m2x, m2y, n2), cell2 = _segments(c2.points, d2, cells)
+    buckets: dict[int, list[int]] = {}
+    for j, cell in enumerate(_cell_ids(cell2, cells)):
+        buckets.setdefault(cell, []).append(j)
+
+    eps = 1e-9
     found: list[tuple[float, float, float]] = []  # (x, y, |unit cross|)
-    for i, j in _candidate_pairs(seg1[2], seg2[2], _cell_count(seg1[1], seg2[1])):
-        points, sines = _pair_crossings(i, j, seg1, seg2)
-        found += zip(points[:, 0].tolist(), points[:, 1].tolist(), sines.tolist())
+    near = _cell_ids(cell1[:, None, :] + _NEIGHBOURS, cells)  # 9 cell ids per c1 segment
+    for (px, py, rx, ry, mx, my, n1), ids in zip(zip(*seg1), near):
+        for j in (j for cell in set(ids) for j in buckets.get(cell, ())):
+            wx, wy, scale = d2x[j], d2y[j], n1 * n2[j]
+            if scale == 0.0:
+                continue
+            qx = s2x[j] + round(mx - m2x[j]) - px
+            qy = s2y[j] + round(my - m2y[j]) - py
+            rw = rx * wy - ry * wx
+            if abs(rw) <= 1e-12 * scale:
+                # parallel; collinear overlap of positive length is degenerate
+                if abs(qx * ry - qy * rx) <= 1e-9 * max(n1, 1.0):
+                    rr = rx * rx + ry * ry
+                    t0 = (qx * rx + qy * ry) / rr
+                    t1 = t0 + (wx * rx + wy * ry) / rr
+                    if min(max(t0, t1), 1.0) - max(min(t0, t1), 0.0) > 1e-9:
+                        raise DegenerateOverlap("curves share a positive-length segment")
+                continue
+            s = (qx * wy - qy * wx) / rw
+            u = (qx * ry - qy * rx) / rw
+            if -eps <= s <= 1 + eps and -eps <= u <= 1 + eps:
+                found.append(((px + s * rx) % 1.0, (py + s * ry) % 1.0, abs(rw) / scale))
 
     merged: list[list[float]] = []
     for x, y, cr in sorted(found):
-        for entry in merged:
+        # the kept crossings are in x order, so only those less than 2e-7
+        # below x, or near 0 when x is near 1, can lie within 1e-7 of (x, y)
+        head = bisect.bisect_right(merged, x - 1.0 + 2e-7, key=lambda entry: entry[0])
+        tail = bisect.bisect_left(merged, x - 2e-7, key=lambda entry: entry[0])
+        for entry in merged[:head] + merged[tail:]:
             dx = (x - entry[0] + 0.5) % 1.0 - 0.5
             dy = (y - entry[1] + 0.5) % 1.0 - 0.5
             if abs(dx) <= 1e-7 and abs(dy) <= 1e-7:
@@ -470,7 +438,6 @@ def curve_intersections(c1: TorusCurve, c2: TorusCurve, tol: float = CROSS_TOL):
                 break
         else:
             merged.append([x, y, cr])
-    merged.sort(key=lambda e: (e[0], e[1]))
     return [(np.array([x, y]), cr > tol) for x, y, cr in merged]
 
 

@@ -1,9 +1,11 @@
 """Per-pair reference for ``flowlab.curve_intersections``.
 
-The straightforward version: bucket segment midpoints in a dict, loop over
-every candidate pair in Python with scalar arithmetic, and de-duplicate
-crossings by comparing each against every crossing kept so far.  It is the
-test oracle for the array implementation, not used by the package.
+The straightforward version: bucket segment midpoints in a dict on a grid
+of at most 64 cells per circle, gather the candidates of all nine
+neighbour cells (repeats included), evaluate each pair with numpy vector
+operations, and de-duplicate crossings by comparing each against every
+crossing kept so far.  It is the test oracle for the package's bucket
+loop, not used by the package.
 """
 
 from __future__ import annotations

@@ -299,6 +299,14 @@ class TestIntersections:
         pts = fl.curve_intersections(a, b)
         assert len(pts) == 3 and all(t for _, t in pts)
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_one_cell_grid(self, swap):
+        # a one-segment curve spans the whole circle, so the grid has one
+        # cell and all nine neighbours of a segment are that cell
+        pair = fl.TorusCurve(np.array([[0.0, 0.3], [1.0, 0.3]])), fl.TorusCurve.line(0, 1, offset=-0.2)
+        pts = fl.curve_intersections(*(pair[::-1] if swap else pair))
+        assert [(point.tolist(), transverse) for point, transverse in pts] == [([0.2, 0.3], True)]
+
 
 @st.composite
 def _crossing_lines(draw):
@@ -313,12 +321,14 @@ def _crossing_lines(draw):
 
 class TestIntersectionNumber:
     """Straight lines cross exactly |p1*q2 - q1*p2| times, without an oracle:
-    segments that straddle a seam, and segments longer than 1/64, are found."""
+    segments that straddle a seam are found, on grids of a dozen to hundreds
+    of cells per circle, and thousands of crossings merge in linear time."""
 
     @given(pair=_crossing_lines())
     @example(pair=(fl.TorusCurve.line(2, 3, 0.0371), fl.TorusCurve.line(5, -7, 0.1123)))
     @example(pair=(fl.TorusCurve.line(1, 0, 0.0371), fl.TorusCurve.line(1, 40, 0.1123)))
     @example(pair=(fl.TorusCurve.line(40, 39, 0.3), fl.TorusCurve.line(39, 38, -0.2)))
+    @example(pair=(fl.TorusCurve.line(39, 40, 0.013, n=600), fl.TorusCurve.line(40, -39, 0.21, n=600)))
     @settings(max_examples=40, deadline=None)
     def test_count_is_the_intersection_number(self, pair):
         # transversality is not asserted: (40, 39) and (39, 38) cross at a
@@ -340,21 +350,6 @@ def _random_pair():
         return np.stack([2.0 * s + wiggle @ (ax / k), -s + wiggle @ (ay / k)], axis=-1)
 
     return fl.TorusCurve.line(1, 2, offset=0.13, n=1024), fl.TorusCurve.from_function(fn, n=2048)
-
-
-class TestIntersectionChunks:
-    """Candidate pairs are evaluated a chunk at a time, and the crossings
-    are sorted before they merge, so the chunk size changes nothing."""
-
-    @pytest.mark.parametrize("chunk", [64, 1 << 20])
-    @pytest.mark.parametrize("pair", ["demo", "random"])
-    def test_chunk_size_keeps_the_crossings(self, monkeypatch, pair, chunk):
-        c1, c2 = fl.demo_curves() if pair == "demo" else _random_pair()
-        want = [(point.tolist(), transverse) for point, transverse in fl.curve_intersections(c1, c2)]
-        assert len(want) == (1 if pair == "demo" else 9)
-        monkeypatch.setattr(fl, "_PAIR_CHUNK", chunk)
-        got = [(point.tolist(), transverse) for point, transverse in fl.curve_intersections(c1, c2)]
-        assert got == want
 
 
 def _wrapped_gap(a, b):
@@ -440,9 +435,11 @@ _FLAG_TOLS = (1e-3, 1e-2, 0.1, 0.5)
 
 
 class TestIntersectionsMatchReference:
-    """The array implementation against the per-pair loop it replaced."""
+    """The package's bucket loop against the straightforward per-pair
+    oracle in reference_intersections."""
 
     @given(pair=_curve_pairs())
+    @example(pair=_random_pair())
     @example(pair=(fl.TorusCurve.line(1, 0, 0.1), fl.TorusCurve.line(1, 3, n=2048)))
     @example(pair=_corner_pair(0.2, 0.5, 0.05, 1.5))
     @example(pair=_corner_pair(-0.3, 0.0, 0.05, 1.5))
