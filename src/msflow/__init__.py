@@ -37,7 +37,6 @@ from .homology import (
 from .planner import (
     Ledger,
     OrbitRecord,
-    SurfaceSkeleton,
     bound_graph,
     bound_piece,
     bound_seifert,
@@ -46,7 +45,6 @@ from .planner import (
     plan_graph,
     plan_seifert,
     replay,
-    surface_skeleton,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +75,6 @@ __all__ = [
     "solve_in_image",
     "Ledger",
     "OrbitRecord",
-    "SurfaceSkeleton",
     "bound_graph",
     "bound_piece",
     "bound_seifert",
@@ -86,6 +83,5 @@ __all__ = [
     "plan_graph",
     "plan_seifert",
     "replay",
-    "surface_skeleton",
     "__version__",
 ]

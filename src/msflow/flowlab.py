@@ -21,10 +21,11 @@ endpoint difference is the integer homology class.  Each segment is
 placed in the period of its wrapped midpoint, and intersection tests
 translate candidate segments into a common fundamental domain, so they
 are exact up to float arithmetic, not up to wrapping artifacts.  Segments
-are bucketed by midpoint in a dict, in cells at least as wide as the
-longest segment extent, so crossing segments always lie in neighbouring
-cells; the few candidate pairs are evaluated one at a time in float
-arithmetic.
+reaching half a period are first cut shorter, so two segments meet at one
+translate at most.  Segments are bucketed by midpoint in a dict, in cells
+at least as wide as the longest segment extent, so crossing segments
+always lie in neighbouring cells; the few candidate pairs are evaluated
+one at a time in float arithmetic.
 """
 
 from __future__ import annotations
@@ -351,6 +352,23 @@ class TorusCurve:
         return TorusCurve(self.points + np.asarray(vec, dtype=float))
 
 
+def _short_segments(points: np.ndarray):
+    """The points and segment deltas of a lifted polyline, and its largest
+    extent (coordinate of a delta).  When that reaches 1/2, every segment
+    of extent m >= 1/2 is first cut into floor(2m) + 1 equal pieces, each
+    of extent below 1/2; otherwise the points are used as they are."""
+    deltas = points[1:] - points[:-1]
+    e = float(np.abs(deltas).max())
+    if e < 0.5:
+        return points, deltas, e
+    pieces = np.floor(2.0 * np.abs(deltas).max(axis=1)).astype(np.int64) + 1
+    seg = np.repeat(np.arange(len(deltas)), pieces)
+    step = np.arange(len(seg)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    points = np.vstack([points[seg] + (step / pieces[seg])[:, None] * deltas[seg], points[-1:]])
+    deltas = points[1:] - points[:-1]
+    return points, deltas, float(np.abs(deltas).max())
+
+
 def _segments(points: np.ndarray, deltas: np.ndarray, cells: int):
     """Columns of segment starts, deltas, wrapped midpoints and lengths, as
     array('d') (start x, start y, delta x, delta y, mid x, mid y, length),
@@ -379,49 +397,54 @@ def curve_intersections(c1: TorusCurve, c2: TorusCurve, tol: float = CROSS_TOL):
     crossing angle exceeds `tol`.  A pair of collinear overlapping segments
     raises DegenerateOverlap since no crossing angle exists there.
 
-    Segments of c2 are bucketed by midpoint in a dict, on a grid of
-    floor(1/e) cells per circle, e the largest coordinate of any segment
-    delta: crossing segments have midpoints within e of each other in each
-    coordinate, so they lie in neighbouring cells.  Each segment of c1 is
-    tested against the segments in its (deduplicated) neighbour cells, in
-    float arithmetic, with c2's segment translated by the integer vector
-    that brings it next to c1's.  A crossing at a shared vertex is found by
-    both segments; such duplicates merge into one point that keeps the
-    smaller sine.
+    Segments whose extent (largest delta coordinate) reaches 1/2 are first
+    cut into equal pieces of extent below 1/2, so crossing segments meet at
+    exactly one translate, the integer vector nearest their midpoints'
+    difference.  Segments of c2 are bucketed by midpoint in a dict, on a
+    grid of floor(1/e) cells per circle, e the largest extent: crossing
+    segments have midpoints within e of each other in each coordinate, so
+    they lie in neighbouring cells.  Each segment of c1 is tested against
+    the segments in its (deduplicated) neighbour cells, in float
+    arithmetic, with c2's segment moved by that translate.  A crossing at a
+    shared vertex is found by both segments; such duplicates merge into one
+    point that keeps the smaller sine.
     """
-    d1, d2 = c1.points[1:] - c1.points[:-1], c2.points[1:] - c2.points[:-1]
-    # 1 to 2^31 cells per circle, so a cell's id x * cells + y fits in int64
-    e = max(float(np.abs(d1).max()), float(np.abs(d2).max()), 2.0 ** -31)
-    cells = max(1, math.floor(1.0 / e))
-    seg1, cell1 = _segments(c1.points, d1, cells)
-    (s2x, s2y, d2x, d2y, m2x, m2y, n2), cell2 = _segments(c2.points, d2, cells)
+    p1, d1, e1 = _short_segments(c1.points)
+    p2, d2, e2 = _short_segments(c2.points)
+    # at most 2^31 cells per circle, so a cell's id x * cells + y fits in int64
+    cells = math.floor(1.0 / max(e1, e2, 2.0 ** -31))
+    seg1, cell1 = _segments(p1, d1, cells)
+    (s2x, s2y, d2x, d2y, m2x, m2y, n2), cell2 = _segments(p2, d2, cells)
     buckets: dict[int, list[int]] = {}
     for j, cell in enumerate(_cell_ids(cell2, cells)):
         buckets.setdefault(cell, []).append(j)
 
+    # a length, so that cutting a segment changes no test: a crossing may lie
+    # this far past a segment's end, and parallel segments this close share a line
     eps = 1e-9
     found: list[tuple[float, float, float]] = []  # (x, y, |unit cross|)
     near = _cell_ids(cell1[:, None, :] + _NEIGHBOURS, cells)  # 9 cell ids per c1 segment
     for (px, py, rx, ry, mx, my, n1), ids in zip(zip(*seg1), near):
         for j in (j for cell in set(ids) for j in buckets.get(cell, ())):
-            wx, wy, scale = d2x[j], d2y[j], n1 * n2[j]
+            wx, wy, m = d2x[j], d2y[j], n2[j]
+            scale = n1 * m
             if scale == 0.0:
                 continue
             qx = s2x[j] + round(mx - m2x[j]) - px
             qy = s2y[j] + round(my - m2y[j]) - py
             rw = rx * wy - ry * wx
             if abs(rw) <= 1e-12 * scale:
-                # parallel; collinear overlap of positive length is degenerate
-                if abs(qx * ry - qy * rx) <= 1e-9 * max(n1, 1.0):
+                # parallel; sharing more than eps of length on one line is degenerate
+                if abs(qx * ry - qy * rx) <= eps * n1:
                     rr = rx * rx + ry * ry
                     t0 = (qx * rx + qy * ry) / rr
                     t1 = t0 + (wx * rx + wy * ry) / rr
-                    if min(max(t0, t1), 1.0) - max(min(t0, t1), 0.0) > 1e-9:
+                    if (min(max(t0, t1), 1.0) - max(min(t0, t1), 0.0)) * n1 > eps:
                         raise DegenerateOverlap("curves share a positive-length segment")
                 continue
             s = (qx * wy - qy * wx) / rw
             u = (qx * ry - qy * rx) / rw
-            if -eps <= s <= 1 + eps and -eps <= u <= 1 + eps:
+            if -eps <= s * n1 <= n1 + eps and -eps <= u * m <= m + eps:
                 found.append(((px + s * rx) % 1.0, (py + s * ry) % 1.0, abs(rw) / scale))
 
     merged: list[list[float]] = []

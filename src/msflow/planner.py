@@ -124,51 +124,13 @@ def bound_sum(components: "list[GraphManifold] | tuple[GraphManifold, ...]") -> 
 # ---------------------------------------------------------------------------
 # Base-surface skeletons
 
-@dataclass(frozen=True)
-class SurfaceSkeleton:
-    """Morse-Smale data on the base: periodic orbits as (label, stability)
-    pairs and singularities as (label, index) pairs with index +1 for
-    attractors/repellors and -1 for saddles."""
-
-    genus: int
-    periodic_orbits: tuple[tuple[str, str], ...]
-    singularities: tuple[tuple[str, int], ...]
-    case_tag: str
-
-
 def _alternate(position: int) -> str:
     return ATTRACTING if position % 2 == 0 else REPELLING
 
 
-def _skeleton(y: "SeifertClosed | SeifertPiece") -> tuple[str, list[tuple[str, int]], list[tuple[str, int]]]:
-    # (case tag, periodic orbits, singularities), each named by (role, index)
-    if isinstance(y, SeifertPiece):
-        case_tag = "BoundedPiece"
-        fiber_slots = range(0, y.n + 1)
-        base_saddles = 2 * y.genus + y.n - 1
-        periodic = [("beta", i) for i in range(1, y.genus + 1)]
-        periodic += [("delta", c) for c in range(1, y.boundary)]
-    elif isinstance(y, SeifertClosed):
-        unit_euler = abs(y.euler) == 1
-        if y.genus == 0 and y.n == 0:
-            case_tag = "Case4" if unit_euler else "Case3"
-        else:
-            case_tag = "Case2" if unit_euler else "Case1"
-        fiber_slots = range(1, y.n + 1) if unit_euler else range(0, y.n + 1)
-        base_saddles = 2 * y.genus + y.n - (2 if unit_euler else 1)
-        periodic = [("beta", i) for i in range(1, y.genus + 1)]
-    else:
-        raise MalformedSpec(f"cannot build a skeleton for {type(y).__name__}")
-
-    pad = max(0, -base_saddles)
-    singular = [("gamma", j) for j in fiber_slots]
-    singular += [("aux", t) for t in range(1, pad + 1)]
-    singular += [("saddle", s) for s in range(1, base_saddles + pad + 1)]
-    return case_tag, periodic, singular
-
-
-def surface_skeleton(y: "SeifertClosed | SeifertPiece") -> SurfaceSkeleton:
-    """Skeleton whose lift starts the construction on `y`.
+def _skeleton(y: "SeifertClosed | SeifertPiece") -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
+    """Morse-Smale skeleton on the base of `y`, as (periodic orbits,
+    singularities), each named by (role, index).
 
     Closed bases get one singularity per exceptional point (plus one for a
     section of the bundle unless |e| = 1 forbids it) and 2g+n-1 saddles
@@ -177,22 +139,34 @@ def surface_skeleton(y: "SeifertClosed | SeifertPiece") -> SurfaceSkeleton:
     saddle count would go negative, attractor/repellor-saddle pairs are added
     until all counts are non-negative, which preserves the index sum.
     """
-    case_tag, periodic, singular = _skeleton(y)
-    return SurfaceSkeleton(
-        genus=y.genus,
-        periodic_orbits=tuple((_label(None, role, i), _alternate(k))
-                              for k, (role, i) in enumerate(periodic)),
-        singularities=tuple((_label(None, role, i), -1 if role == "saddle" else 1)
-                            for role, i in singular),
-        case_tag=case_tag,
-    )
+    periodic = [("beta", i) for i in range(1, y.genus + 1)]
+    if isinstance(y, SeifertPiece):
+        fiber_slots = range(0, y.n + 1)
+        base_saddles = 2 * y.genus + y.n - 1
+        periodic += [("delta", c) for c in range(1, y.boundary)]
+    else:
+        unit_euler = abs(y.euler) == 1
+        fiber_slots = range(1, y.n + 1) if unit_euler else range(0, y.n + 1)
+        base_saddles = 2 * y.genus + y.n - (2 if unit_euler else 1)
+
+    pad = max(0, -base_saddles)
+    singular = [("gamma", j) for j in fiber_slots]
+    singular += [("aux", t) for t in range(1, pad + 1)]
+    singular += [("saddle", s) for s in range(1, base_saddles + pad + 1)]
+    return periodic, singular
 
 
-def check_poincare_hopf(s: SurfaceSkeleton) -> bool:
-    """Whether the singularity indices sum to the Euler characteristic 2-2g."""
-    if s.case_tag == "BoundedPiece":
+def check_poincare_hopf(lift: dict) -> bool:
+    """Whether a closed block's lift step has the index sum of its base.
+
+    Fibers lift the attractors and repellors (index +1), saddles the saddles
+    (index -1), and a closed base carries one torus per genus handle, so the
+    sum must equal the Euler characteristic 2 - 2g = 2 - 2 * #tori.
+    """
+    entries = lift["fibers"] + lift["saddles"] + lift["tori"]
+    if any("tau" in entry[-1] for entry in entries):
         raise ValueError("index-sum check applies to closed bases only")
-    return sum(index for _, index in s.singularities) == 2 - 2 * s.genus
+    return len(lift["fibers"]) - len(lift["saddles"]) == 2 - 2 * len(lift["tori"])
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +431,7 @@ def _coefficient(c: HomologyClassExpr, role: str, index: int) -> int:
 
 
 def _lift_step_doc(m: "SeifertClosed | SeifertPiece", piece: int | None) -> dict:
-    _case, periodic, singular = _skeleton(m)
+    periodic, singular = _skeleton(m)
     fibers = []
     saddles = []
     for role, i in singular:

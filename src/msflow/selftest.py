@@ -35,7 +35,6 @@ from .planner import (
     check_poincare_hopf,
     plan_graph,
     plan_seifert,
-    surface_skeleton,
 )
 
 
@@ -200,8 +199,8 @@ def _criterion_index_sum() -> tuple[bool, str]:
     for g in range(6):
         for n in range(6):
             for e in range(-3, 4):
-                skeleton = surface_skeleton(SeifertClosed(g, e, _fibers(n)))
-                if not check_poincare_hopf(skeleton):
+                m = SeifertClosed(g, e, _fibers(n))
+                if not check_poincare_hopf(plan_seifert(m, maximal_class(m)).steps[0]):
                     return False, f"(g={g}, e={e}, n={n}): index sum is not 2 - 2g"
                 cells += 1
     return True, f"index sum equals 2 - 2g on all {cells} closed skeletons"

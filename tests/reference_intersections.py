@@ -1,11 +1,11 @@
-"""Per-pair reference for ``flowlab.curve_intersections``.
+"""Brute-force reference for ``flowlab.curve_intersections``.
 
-The straightforward version: bucket segment midpoints in a dict on a grid
-of at most 64 cells per circle, gather the candidates of all nine
-neighbour cells (repeats included), evaluate each pair with numpy vector
-operations, and de-duplicate crossings by comparing each against every
-crossing kept so far.  It is the test oracle for the package's bucket
-loop, not used by the package.
+Grid-free and frame-free: every segment of one curve is tested against
+every segment of the other at every integer translate within the two
+segments' extents, with numpy vector operations over chunks of segment
+pairs.  Crossings closer than 1e-7 (wrapped) merge into one that keeps the
+smaller sine, by comparing each against every crossing kept so far.  It
+shares no code with the package's bucket loop and is not used by it.
 """
 
 from __future__ import annotations
@@ -13,77 +13,89 @@ from __future__ import annotations
 import numpy as np
 
 from msflow.errors import DegenerateOverlap
-from msflow.flowlab import CROSS_TOL
 
-
-def _segment_data(points):
-    # each start is its wrapped midpoint less half the delta: one period per segment
-    deltas = points[1:] - points[:-1]
-    mids = (points[:-1] + 0.5 * deltas) % 1.0
-    return mids - 0.5 * deltas, deltas, mids
+# segment pairs per chunk, so a chunk's arrays stay a few MB
+_CHUNK = 1 << 18
+# slack on the translate range, more than the 1e-9 a crossing may lie past
+# a segment's end
+_PAD = 1e-6
 
 
 def _cross(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
+def _translates(a, r, b, w):
+    """Segment indices (i, j) and integer vectors k for which segment i of
+    the first curve and segment j of the second, moved by k, can meet."""
+    i, j, lo, count = [], [], [], []
+    rows = max(1, _CHUNK // len(b))
+    for first in range(0, len(a), rows):
+        # a + s*r = b + k + u*w with s, u in [0, 1] bounds each coordinate of k
+        gap = a[first:first + rows, None, :] - b[None, :, :]
+        low = np.ceil(gap + np.minimum(r, 0.0)[first:first + rows, None, :]
+                      - np.maximum(w, 0.0)[None, :, :] - _PAD)
+        high = np.floor(gap + np.maximum(r, 0.0)[first:first + rows, None, :]
+                        - np.minimum(w, 0.0)[None, :, :] + _PAD)
+        ii, jj = np.nonzero(np.all(low <= high, axis=-1))
+        i.append(ii + first)
+        j.append(jj)
+        lo.append(low[ii, jj])
+        count.append((high[ii, jj] - low[ii, jj] + 1).astype(np.int64))
+    i, j, lo, count = (np.concatenate(x) for x in (i, j, lo, count))
+    # one row per (pair, translate): enumerate each pair's box of translates
+    total = count[:, 0] * count[:, 1]
+    pair = np.repeat(np.arange(len(i)), total)
+    at = np.arange(len(pair)) - np.repeat(np.cumsum(total) - total, total)
+    k = lo[pair] + np.stack([at // count[pair, 1], at % count[pair, 1]], axis=-1)
+    return i[pair], j[pair], k
+
+
 def merged_crossings(c1, c2):
-    """One [x, y, |unit cross|] per crossing, duplicates keeping the smaller sine."""
-    s1, d1, m1 = _segment_data(c1.points)
-    s2, d2, m2 = _segment_data(c2.points)
-    # buckets at least as wide as the largest segment extent, at most 64 per circle
-    extent = max(np.abs(d1).max(), np.abs(d2).max())
-    cells = 64 if extent <= 1 / 64 else max(1, int(1 / extent))
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for j, mid in enumerate(m2):
-        buckets.setdefault((int(mid[0] * cells) % cells, int(mid[1] * cells) % cells), []).append(j)
+    """One [x, y, |unit cross|, members] per crossing, duplicates keeping the
+    smaller sine; members lists the (x, y) of every crossing merged into it,
+    any of which the package may report, since which comes first in x order
+    can turn on float rounding."""
+    a, r = c1.points[:-1], np.diff(c1.points, axis=0)
+    b, w = c2.points[:-1], np.diff(c2.points, axis=0)
+    i, j, k = _translates(a, r, b, w)
+    p, r, q, w = a[i], r[i], b[j] + k - a[i], w[j]
+    rw = _cross(r, w)
+    n1, n2 = np.linalg.norm(r, axis=-1), np.linalg.norm(w, axis=-1)
+    scale = n1 * n2
+    live = scale != 0.0
+    parallel = live & (np.abs(rw) <= 1e-12 * scale)
 
+    # a crossing may lie 1e-9 (in length) past a segment's end; parallel
+    # segments within 1e-9 of one line sharing more than 1e-9 of it are degenerate
     eps = 1e-9
-    found: list[tuple[float, float, float]] = []  # (x, y, |unit cross|)
-    for i in range(len(s1)):
-        cx, cy = int(m1[i][0] * cells) % cells, int(m1[i][1] * cells) % cells
-        candidates: list[int] = []
-        for ox in (-1, 0, 1):
-            for oy in (-1, 0, 1):
-                candidates += buckets.get(((cx + ox) % cells, (cy + oy) % cells), [])
-        p, r = s1[i], d1[i]
-        for j in candidates:
-            # integer translate bringing segment j next to segment i
-            q, w = s2[j] + np.round(m1[i] - m2[j]), d2[j]
-            rw = _cross(r, w)
-            qp = q - p
-            scale = np.linalg.norm(r) * np.linalg.norm(w)
-            if scale == 0.0:
-                continue
-            if abs(rw) <= 1e-12 * scale:
-                # parallel; collinear overlap of positive length is degenerate
-                if abs(_cross(qp, r)) <= 1e-9 * max(np.linalg.norm(r), 1.0):
-                    rr = float(r @ r)
-                    t0 = float(qp @ r) / rr
-                    t1 = t0 + float(w @ r) / rr
-                    lo, hi = min(t0, t1), max(t0, t1)
-                    if min(hi, 1.0) - max(lo, 0.0) > 1e-9:
-                        raise DegenerateOverlap("curves share a positive-length segment")
-                continue
-            s = _cross(qp, w) / rw
-            u = _cross(qp, r) / rw
-            if -eps <= s <= 1 + eps and -eps <= u <= 1 + eps:
-                pt = (p + s * r) % 1.0
-                found.append((float(pt[0]), float(pt[1]), abs(rw) / scale))
+    collinear = parallel & (np.abs(_cross(q, r)) <= eps * n1)
+    rr = np.sum(r * r, axis=-1)[collinear]
+    t0 = np.sum(q * r, axis=-1)[collinear] / rr
+    t1 = t0 + np.sum(w * r, axis=-1)[collinear] / rr
+    shared = np.minimum(np.maximum(t0, t1), 1.0) - np.maximum(np.minimum(t0, t1), 0.0)
+    if np.any(shared * n1[collinear] > eps):
+        raise DegenerateOverlap("curves share a positive-length segment")
 
-    merged: list[list[float]] = []
-    for x, y, cr in sorted(found):
+    crossing = live & ~parallel
+    p, r, q, w, rw, scale, n1, n2 = (x[crossing] for x in (p, r, q, w, rw, scale, n1, n2))
+    s = _cross(q, w) / rw
+    u = _cross(q, r) / rw
+    hit = (-eps <= s * n1) & (s * n1 <= n1 + eps) & (-eps <= u * n2) & (u * n2 <= n2 + eps)
+    points = (p[hit] + s[hit, None] * r[hit]) % 1.0
+    sines = np.abs(rw[hit]) / scale[hit]
+    found = sorted((float(x), float(y), float(cr)) for (x, y), cr in zip(points, sines))
+
+    merged: list[list] = []
+    for x, y, cr in found:
         for entry in merged:
             dx = (x - entry[0] + 0.5) % 1.0 - 0.5
             dy = (y - entry[1] + 0.5) % 1.0 - 0.5
             if abs(dx) <= 1e-7 and abs(dy) <= 1e-7:
                 entry[2] = min(entry[2], cr)
+                entry[3].append((x, y))
                 break
         else:
-            merged.append([x, y, cr])
-    merged.sort(key=lambda e: (e[0], e[1]))
+            merged.append([x, y, cr, [(x, y)]])
     return merged
 
-
-def curve_intersections(c1, c2, tol: float = CROSS_TOL):
-    return [(np.array([x, y]), cr > tol) for x, y, cr in merged_crossings(c1, c2)]

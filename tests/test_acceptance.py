@@ -51,7 +51,8 @@ def test_criterion_04_connected_sum_additivity():
 
 
 def test_criterion_05_index_sum():
-    """Every closed skeleton satisfies #(attr/rep) - #saddle = 2 - 2g; exact."""
+    """The lift step of every closed maximal-class ledger satisfies
+    #fibers - #saddles = 2 - 2 * #tori, the index sum 2 - 2g; exact."""
     run(5, None)
 
 

@@ -301,11 +301,22 @@ class TestIntersections:
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_one_cell_grid(self, swap):
-        # a one-segment curve spans the whole circle, so the grid has one
-        # cell and all nine neighbours of a segment are that cell
+        # a one-segment curve spans the whole circle: it is cut into three
+        # pieces, on a grid of two cells per circle, where a cell's two
+        # neighbours are one cell
         pair = fl.TorusCurve(np.array([[0.0, 0.3], [1.0, 0.3]])), fl.TorusCurve.line(0, 1, offset=-0.2)
         pts = fl.curve_intersections(*(pair[::-1] if swap else pair))
         assert [(point.tolist(), transverse) for point, transverse in pts] == [([0.2, 0.3], True)]
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_one_segment_spanning_two_periods(self, swap):
+        # the (2, 1) segment meets y = 0.21 once, at a translate other than
+        # the one nearest by midpoint
+        pair = fl.TorusCurve(np.outer([0, 1], [2, 1]) + [0.13, 0.37]), fl.TorusCurve.line(1, 0, 0.21)
+        pts = fl.curve_intersections(*(pair[::-1] if swap else pair))
+        assert len(pts) == 1
+        point, transverse = pts[0]
+        assert transverse and np.allclose(point, [0.81, 0.21], atol=1e-12)
 
 
 @st.composite
@@ -407,12 +418,25 @@ def _corner_pairs(draw):
 
 
 @st.composite
+def _short_polylines(draw):
+    """A closed polyline of 1-5 segments of class (p, q), |p|, |q| <= 3, with
+    vertices anywhere in a few periods, so segments can span whole periods."""
+    p, q = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    coords = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    vertices = draw(st.lists(coords, min_size=1, max_size=5))
+    return fl.TorusCurve(np.array([*vertices, np.add(vertices[0], (p, q))]))
+
+
+@st.composite
 def _curve_pairs(draw):
-    kind = draw(st.sampled_from(["lines", "tangent", "corner", "same line"]))
+    kind = draw(st.sampled_from(["lines", "tangent", "corner", "same line", "polyline", "polyline"]))
     if kind == "tangent":
         return draw(_tangent_pairs())
     if kind == "corner":
         return draw(_corner_pairs())
+    if kind == "polyline":
+        pair = draw(_short_polylines()), draw(_lines())
+        return pair[::-1] if draw(st.booleans()) else pair
     c1 = draw(_lines())
     if kind == "same line":
         # the same line in another lift: overlaps everywhere
@@ -435,8 +459,10 @@ _FLAG_TOLS = (1e-3, 1e-2, 0.1, 0.5)
 
 
 class TestIntersectionsMatchReference:
-    """The package's bucket loop against the straightforward per-pair
-    oracle in reference_intersections."""
+    """The package's bucket loop against the brute-force oracle in
+    reference_intersections, which tries every segment pair at every
+    integer translate and so shares no grid or frame with the package.
+    Short polylines bring segments spanning half a period or more."""
 
     @given(pair=_curve_pairs())
     @example(pair=_random_pair())
@@ -444,8 +470,11 @@ class TestIntersectionsMatchReference:
     @example(pair=_corner_pair(0.2, 0.5, 0.05, 1.5))
     @example(pair=_corner_pair(-0.3, 0.0, 0.05, 1.5))
     @example(pair=_corner_pair(-0.3, 0.0, 0.05, 1.5, transpose=True))
-    @settings(max_examples=40, deadline=None)
+    @example(pair=(fl.TorusCurve(np.outer([0, 1], [2, 1]) + [0.13, 0.37]), fl.TorusCurve.line(1, 0, 0.21)))
+    @settings(max_examples=60, deadline=None)
     def test_same_crossings_flags_and_overlaps(self, pair):
+        """Crossings, flags and overlaps equal the oracle's, each point
+        within 1e-9 (wrapped) of a crossing merged into its own oracle point."""
         want = _outcome(reference_intersections.merged_crossings, *pair)
         for tol in _FLAG_TOLS:
             got = _outcome(lambda c1, c2: fl.curve_intersections(c1, c2, tol), *pair)
@@ -453,9 +482,12 @@ class TestIntersectionsMatchReference:
                 assert got is want
                 return
             assert len(got) == len(want)
-            for (point, transverse), (x, y, sine) in zip(got, want):
+            left = [(np.array(members), sine) for _x, _y, sine, members in want]
+            for point, transverse in got:
+                gaps = [min(_wrapped_gap(point, m) for m in members) for members, _ in left]
+                members, sine = left.pop(int(np.argmin(gaps)))
+                assert min(gaps) <= 1e-9
                 assert transverse == (sine > tol)
-                assert _wrapped_gap(point, np.array([x, y])) <= 1e-12
 
     def test_corner_crossing_keeps_smaller_sine(self):
         line, corner = _corner_pair(0.2, 0.5, 0.05, 1.5)

@@ -1,4 +1,4 @@
-"""Closed-form bounds, base skeletons, and the construction ledger.
+"""Closed-form bounds, lifted base skeletons, and the construction ledger.
 
 The central property: for every manifold in the test grid and every
 admissible class, replaying the plan yields d2_accumulated equal to the
@@ -39,7 +39,6 @@ from msflow.planner import (
     plan_graph,
     plan_seifert,
     replay,
-    surface_skeleton,
 )
 
 SWAP = ((0, 1), (1, 0))
@@ -126,47 +125,47 @@ class TestBounds:
             bound_piece(p.genus, p.n, p.boundary) - 6 for p in g.pieces)
 
 
+def lift_of(m):
+    """The lift step of the maximal-class plan on `m`: the base skeleton as
+    the ledger records it."""
+    return plan_seifert(m, maximal_class(m)).steps[0]
+
+
+def labels(entries):
+    return [entry[0] for entry in entries]
+
+
 class TestSurfaceSkeleton:
+    """The base skeleton as the lift step records it."""
+
     def test_generic_cell(self):
-        s = surface_skeleton(closed(2, 3, 1))
-        saddles = [lab for lab, idx in s.singularities if idx == -1]
-        sources = [lab for lab, idx in s.singularities if idx == 1]
-        assert len(saddles) == 4 and sources == ["gamma0", "gamma1"]
-        assert s.case_tag == "Case1"
-        assert [lab for lab, _ in s.periodic_orbits] == ["beta1", "beta2"]
+        lift = lift_of(closed(2, 3, 1))
+        assert len(lift["saddles"]) == 4 and labels(lift["fibers"]) == ["gamma0", "gamma1"]
+        assert labels(lift["tori"]) == ["beta1", "beta2"]
 
     def test_unit_euler_drops_slot_zero(self):
-        s = surface_skeleton(closed(1, -1, 2))
-        assert [lab for lab, idx in s.singularities if idx == 1] == ["gamma1", "gamma2"]
-        assert sum(1 for _, idx in s.singularities if idx == -1) == 2
-        assert s.case_tag == "Case2"
+        lift = lift_of(closed(1, -1, 2))
+        assert labels(lift["fibers"]) == ["gamma1", "gamma2"]
+        assert len(lift["saddles"]) == 2
 
     def test_degenerate_sphere_padding(self):
-        s = surface_skeleton(closed(0, 2, 0))
-        assert s.case_tag == "Case3"
-        assert [lab for lab, idx in s.singularities if idx == 1] == ["gamma0", "aux1"]
-        assert sum(1 for _, idx in s.singularities if idx == -1) == 0
+        lift = lift_of(closed(0, 2, 0))
+        assert labels(lift["fibers"]) == ["gamma0", "aux1"]
+        assert lift["saddles"] == []
 
     def test_unit_euler_sphere_padding(self):
-        s = surface_skeleton(closed(0, 1, 0))
-        assert s.case_tag == "Case4"
-        labels = [lab for lab, idx in s.singularities if idx == 1]
-        assert labels == ["aux1", "aux2"]
+        assert labels(lift_of(closed(0, 1, 0))["fibers"]) == ["aux1", "aux2"]
 
     def test_piece_carries_boundary_orbits(self):
-        s = surface_skeleton(SeifertPiece(1, 3, fibers(1)))
-        assert s.case_tag == "BoundedPiece"
-        orbit_labels = [lab for lab, _ in s.periodic_orbits]
-        assert orbit_labels == ["beta1", "delta1", "delta2"]
+        assert labels(lift_of(SeifertPiece(1, 3, fibers(1)))["tori"]) == ["beta1", "delta1", "delta2"]
 
     def test_orbit_stabilities_alternate(self):
-        s = surface_skeleton(SeifertPiece(1, 3, ()))
-        assert [kind for _, kind in s.periodic_orbits] == [
-            "attracting", "repelling", "attracting"]
+        lift = lift_of(SeifertPiece(1, 3, ()))
+        assert [kind for _, kind, _ in lift["tori"]] == ["attracting", "repelling", "attracting"]
 
     def test_rejects_other_types(self):
         with pytest.raises(MalformedSpec):
-            surface_skeleton(two_piece_graph())
+            lift_of(two_piece_graph())
 
 
 class TestPoincareHopf:
@@ -174,21 +173,19 @@ class TestPoincareHopf:
         for g in range(6):
             for n in range(6):
                 for e in range(-3, 4):
-                    assert check_poincare_hopf(surface_skeleton(closed(g, e, n)))
+                    assert check_poincare_hopf(lift_of(closed(g, e, n)))
 
     def test_rejects_pieces(self):
         with pytest.raises(ValueError):
-            check_poincare_hopf(surface_skeleton(SeifertPiece(0, 1, ())))
+            check_poincare_hopf(lift_of(SeifertPiece(0, 1, ())))
+        g = two_piece_graph()
+        with pytest.raises(ValueError):
+            check_poincare_hopf(plan_graph(g, maximal_class(g)).steps[0])
 
     def test_detects_corruption(self):
-        s = surface_skeleton(closed(1, 2, 0))
-        broken = type(s)(
-            genus=s.genus,
-            periodic_orbits=s.periodic_orbits,
-            singularities=s.singularities + (("extra", 1),),
-            case_tag=s.case_tag,
-        )
-        assert not check_poincare_hopf(broken)
+        lift = lift_of(closed(1, 2, 0))
+        cls = lift["fibers"][0][2]
+        assert not check_poincare_hopf(dict(lift, fibers=lift["fibers"] + [["extra", "attracting", cls]]))
 
 
 def after_lift(m, *steps):
