@@ -15,8 +15,6 @@ from .manifolds import (
     SeifertClosed,
     SeifertPiece,
     SurgeryCoefficient,
-    format_graph,
-    format_seifert,
     graph_from_json,
     maximal_class,
     parse_graph,
@@ -57,8 +55,6 @@ __all__ = [
     "SeifertClosed",
     "SeifertPiece",
     "SurgeryCoefficient",
-    "format_graph",
-    "format_seifert",
     "graph_from_json",
     "maximal_class",
     "parse_graph",

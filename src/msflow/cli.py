@@ -5,6 +5,11 @@ keeps human-readable diagnostics on standard error, so the tool composes
 with shell pipelines.  Exit codes: 0 success, 1 invalid input or usage,
 2 a verification or consistency check failed.
 
+``plan`` refuses a manifold with a block whose class length g + n + k
+exceeds PLAN_MAX_CLASS_LENGTH, and ``homology`` one whose presentation has
+more than HOMOLOGY_MAX_GENERATORS generators (exit 1); ``bound`` takes any
+size.
+
 The environment variable MSFLOW_TOL overrides the orbit-closure tolerance
 used by ``verify torus-model``.  OPENBLAS_NUM_THREADS defaults to 1 here,
 before numpy loads, so no command pays to start a BLAS thread pool; a value
@@ -39,6 +44,7 @@ from .manifolds import (
     GraphManifold,
     HomologyClassExpr,
     SeifertClosed,
+    SeifertPiece,
     _brief,
     _decimal_int,
     _load_json,
@@ -54,6 +60,16 @@ from .planner import (
     plan_graph,
     plan_seifert,
 )
+
+
+# Size limits of `plan` and `homology`, checked before any work that grows with
+# them.  A plan's payload grows with the square of a block's class length
+# g + n + k (its lambda, alpha and tau coefficients; k = 1 for a closed
+# manifold): a length of 1,601 (g = n = 800) gives 34 MB, one of 2,000 57 MB.
+# Homology works on a presentation with one column per generator: 2g + n + k
+# per block, plus one per independent cycle of a gluing graph.
+PLAN_MAX_CLASS_LENGTH = 2_000
+HOMOLOGY_MAX_GENERATORS = 50_000
 
 
 class _UsageError(Exception):
@@ -173,6 +189,22 @@ def _manifold_from_args(args) -> SeifertClosed | GraphManifold:
     return parse_seifert(text)
 
 
+def _blocks(m: SeifertClosed | GraphManifold) -> "tuple[SeifertClosed | SeifertPiece, ...]":
+    return m.pieces if isinstance(m, GraphManifold) else (m,)
+
+
+def _block_size(b: SeifertClosed | SeifertPiece) -> int:
+    # g + n + k: lambda, alpha and tau coefficients of one block's class
+    return b.genus + b.n + (b.boundary if isinstance(b, SeifertPiece) else 1)
+
+
+def _check_size(quantity: str, value: int, limit: int) -> None:
+    if value > limit:
+        # str() refuses ints past the digit limit, so a huge value is named by its bit length
+        shown = str(value) if value.bit_length() <= 256 else f"a {value.bit_length()}-bit number"
+        raise InvalidInput(f"{quantity} is {shown}; the limit is {limit}")
+
+
 def _bound(m: SeifertClosed | GraphManifold) -> int:
     return bound_seifert(m.genus, m.euler, m.n) if isinstance(m, SeifertClosed) else bound_graph(m)
 
@@ -246,6 +278,8 @@ def _cmd_bound(args) -> CommandOutcome:
 
 def _cmd_plan(args) -> CommandOutcome:
     m = _manifold_from_args(args)
+    _check_size("the class length g + n + k of a block", max(map(_block_size, _blocks(m))),
+                PLAN_MAX_CLASS_LENGTH)
     c, cycles = _parse_class(m, args.class_spec)
     for k, v in enumerate(cycles or ()):
         if v != 0:
@@ -267,6 +301,9 @@ def _cmd_plan(args) -> CommandOutcome:
 
 def _cmd_homology(args) -> CommandOutcome:
     m = _manifold_from_args(args)
+    rank = 0 if isinstance(m, SeifertClosed) else len(m.edges) - m.l + 1
+    _check_size("the generator count 2g + n + k", sum(b.genus + _block_size(b) for b in _blocks(m)) + rank,
+                HOMOLOGY_MAX_GENERATORS)
     group = seifert_h1(m) if isinstance(m, SeifertClosed) else graph_h1(m)
     payload: dict = {"group": group.to_json()}
     if args.class_spec is None:

@@ -541,17 +541,15 @@ def graph_h1(g: GraphManifold) -> H1Group:
 def graph_class_vector(
     g: GraphManifold,
     per_piece: tuple[HomologyClassExpr, ...],
-    cycles: tuple[int, ...] | None = None,
+    cycles: tuple[int, ...],
 ) -> tuple[int, ...]:
-    """Assemble per-piece class expressions (and optional cycle coordinates)
-    into a vector over the graph presentation's generators.  A cycle
+    """Assemble per-piece class expressions and one coordinate per non-tree
+    edge into a vector over the graph presentation's generators.  A cycle
     coordinate that is not an int (a float, a bool, a string) raises
     MalformedSpec instead of being coerced."""
     pres = graph_presentation(g)
     vec = [x for pc, expr in zip(g.pieces, validate_class(g, per_piece)) for x in expr_to_vector(pc, expr)]
     b1 = len(pres.nontree_edges)
-    if cycles is None:
-        return tuple(vec + [0] * b1)
     if len(cycles) != b1:
         raise DimensionMismatch(f"expected {b1} cycle coordinates, got {len(cycles)}")
     return tuple(vec + [_require_int(entry, f"cycle coordinate {k}") for k, entry in enumerate(cycles)])
@@ -571,18 +569,14 @@ def class_is_maximal(
     m: SeifertClosed | SeifertPiece | GraphManifold,
     c: "HomologyClassExpr | tuple[HomologyClassExpr, ...]",
 ) -> bool:
-    """Whether every constrained coefficient avoids {-1, 0, 1}.
-
-    alpha_0 is exempt exactly when the manifold is closed with |e| = 1, since
-    that coefficient is forced to vanish there.  A class not dimensioned
-    for `m` raises as in :func:`validate_class`.
+    """Whether every lambda, tau and fiber-slot alpha coefficient avoids
+    {-1, 0, 1}; an alpha outside the manifold's `fiber_slots` is forced to
+    vanish and is not read.  A class not dimensioned for `m` raises as in
+    :func:`validate_class`.
     """
     c = validate_class(m, c)
     if isinstance(m, GraphManifold):
         return all(class_is_maximal(pc, expr) for pc, expr in zip(m.pieces, c))  # type: ignore[arg-type]
     small = {-1, 0, 1}
-    alpha = c.alpha
-    if isinstance(m, SeifertClosed) and abs(m.euler) == 1:
-        alpha = alpha[1:]
-    coeffs = list(c.lam) + list(alpha) + list(c.tau or ())
+    coeffs = list(c.lam) + [c.alpha[j] for j in m.fiber_slots] + list(c.tau or ())
     return all(v not in small for v in coeffs)

@@ -104,9 +104,6 @@ class SurgeryCoefficient:
         if math.gcd(abs(self.p), abs(self.q)) != 1:
             raise InvalidCoefficient(f"{self.p}/{self.q} is not in lowest terms")
 
-    def __str__(self) -> str:
-        return f"{self.p}/{self.q}"
-
 
 def _coerce_fibers(fibers: object) -> tuple[SurgeryCoefficient, ...]:
     out = []
@@ -141,6 +138,12 @@ class SeifertClosed:
     def n(self) -> int:
         return len(self.fibers)
 
+    @property
+    def fiber_slots(self) -> range:
+        """The alpha slots that carry a fiber orbit gamma_j: slot 0, the regular
+        fiber, is left out for |e| = 1, where that fiber is nullhomologous."""
+        return range(1 if abs(self.euler) == 1 else 0, self.n + 1)
+
     def to_json(self) -> dict:
         return {
             "genus": self.genus,
@@ -169,6 +172,11 @@ class SeifertPiece:
     @property
     def n(self) -> int:
         return len(self.fibers)
+
+    @property
+    def fiber_slots(self) -> range:
+        """The alpha slots that carry a fiber orbit gamma_j: all of them."""
+        return range(self.n + 1)
 
     def to_json(self) -> dict:
         return {
@@ -329,9 +337,6 @@ class HomologyClassExpr:
             None if self.tau is None else tuple(k * v for v in self.tau),
         )
 
-    def is_zero(self) -> bool:
-        return not any(self.lam) and not any(self.alpha) and not any(self.tau or ())
-
     def to_json(self) -> dict:
         doc: dict = {"lambda": list(self.lam), "alpha": list(self.alpha)}
         if self.tau is not None:
@@ -358,9 +363,8 @@ def validate_class(
 ) -> "HomologyClassExpr | tuple[HomologyClassExpr, ...]":
     """Check that a class expression is dimensioned for `m` and return it.
 
-    For a graph manifold, `c` must be one expression per piece.  For a closed
-    manifold with |e| = 1 the regular fiber is not available as a basis
-    element, so alpha_0 must vanish.
+    For a graph manifold, `c` must be one expression per piece.  alpha_0 must
+    vanish where slot 0 is not one of the manifold's `fiber_slots`.
     """
     if isinstance(m, GraphManifold):
         exprs = tuple(c)  # type: ignore[arg-type]
@@ -381,7 +385,7 @@ def validate_class(
     else:
         if c.tau is not None:
             raise DimensionMismatch("tau is only meaningful for bounded pieces")
-        if abs(m.euler) == 1 and c.alpha[0] != 0:
+        if 0 not in m.fiber_slots and c.alpha[0] != 0:
             raise Alpha0NotAllowed("the regular fiber is nullhomologous for |e| = 1, so alpha_0 must be 0")
     return c
 
@@ -389,20 +393,17 @@ def validate_class(
 def maximal_class(
     m: SeifertClosed | SeifertPiece | GraphManifold,
 ) -> "HomologyClassExpr | tuple[HomologyClassExpr, ...]":
-    """The canonical maximal class: every available coefficient equals 2."""
+    """The canonical maximal class: 2 on every lambda, tau and fiber-slot
+    alpha coefficient, 0 on the alpha outside the fiber slots."""
     if isinstance(m, GraphManifold):
         return tuple(maximal_class(pc) for pc in m.pieces)  # type: ignore[misc]
-    alpha = [2] * (m.n + 1)
-    tau: tuple[int, ...] | None = None
-    if isinstance(m, SeifertPiece):
-        tau = (2,) * (m.boundary - 1)
-    elif abs(m.euler) == 1:
-        alpha[0] = 0
-    return HomologyClassExpr((2,) * m.genus, tuple(alpha), tau)
+    alpha = tuple(2 if j in m.fiber_slots else 0 for j in range(m.n + 1))
+    tau = (2,) * (m.boundary - 1) if isinstance(m, SeifertPiece) else None
+    return HomologyClassExpr((2,) * m.genus, alpha, tau)
 
 
 # ---------------------------------------------------------------------------
-# Parsing and printing
+# Parsing
 
 _SEIFERT_RE = re.compile(r"^g=(-?\d+),e=(-?\d+)(?:,fibers=(.*))?$")
 _FRACTION_RE = re.compile(r"^(-?\d+)/(-?\d+)$")
@@ -430,14 +431,6 @@ def parse_seifert(text: str) -> SeifertClosed:
             fibers.append(SurgeryCoefficient(_decimal_int(frac.group(1), "fiber numerator"),
                                              _decimal_int(frac.group(2), "fiber denominator")))
     return SeifertClosed(genus, euler, tuple(fibers))
-
-
-def format_seifert(m: SeifertClosed) -> str:
-    """Inverse of :func:`parse_seifert` on valid values."""
-    base = f"g={m.genus},e={m.euler}"
-    if m.fibers:
-        base += ",fibers=" + ";".join(str(f) for f in m.fibers)
-    return base
 
 
 def parse_graph(document: str) -> GraphManifold:
@@ -486,8 +479,3 @@ def graph_from_json(doc: object) -> GraphManifold:
             raise BadGluingMatrix(f"gluing matrix {_brief(matrix)} is not 2x2") from exc
         edges.append(Gluing(pi, bi, pj, bj, matrix))  # type: ignore[arg-type]
     return GraphManifold(tuple(pieces), tuple(edges))
-
-
-def format_graph(g: GraphManifold) -> str:
-    """Inverse of :func:`parse_graph` on valid values (canonical key order)."""
-    return json.dumps(g.to_json(), sort_keys=True, separators=(",", ":"))

@@ -132,25 +132,18 @@ def _skeleton(y: "SeifertClosed | SeifertPiece") -> tuple[list[tuple[str, int]],
     """Morse-Smale skeleton on the base of `y`, as (periodic orbits,
     singularities), each named by (role, index).
 
-    Closed bases get one singularity per exceptional point (plus one for a
-    section of the bundle unless |e| = 1 forbids it) and 2g+n-1 saddles
-    (2g+n-2 when |e| = 1); bounded pieces behave like the |e| != 1 case and
-    additionally carry the boundary-parallel orbits delta_c.  Whenever the
+    The singularities are one gamma_j per fiber slot of `y` and 2g + s - 2
+    saddles for s slots; the periodic orbits are beta_1..beta_g, and on a
+    bounded piece also the boundary-parallel orbits delta_c.  Whenever the
     saddle count would go negative, attractor/repellor-saddle pairs are added
     until all counts are non-negative, which preserves the index sum.
     """
     periodic = [("beta", i) for i in range(1, y.genus + 1)]
     if isinstance(y, SeifertPiece):
-        fiber_slots = range(0, y.n + 1)
-        base_saddles = 2 * y.genus + y.n - 1
         periodic += [("delta", c) for c in range(1, y.boundary)]
-    else:
-        unit_euler = abs(y.euler) == 1
-        fiber_slots = range(1, y.n + 1) if unit_euler else range(0, y.n + 1)
-        base_saddles = 2 * y.genus + y.n - (2 if unit_euler else 1)
-
+    base_saddles = 2 * y.genus + len(y.fiber_slots) - 2
     pad = max(0, -base_saddles)
-    singular = [("gamma", j) for j in fiber_slots]
+    singular = [("gamma", j) for j in y.fiber_slots]
     singular += [("aux", t) for t in range(1, pad + 1)]
     singular += [("saddle", s) for s in range(1, base_saddles + pad + 1)]
     return periodic, singular

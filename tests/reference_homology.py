@@ -107,14 +107,13 @@ def graph_presentation(g):
     return tuple(names), IntMatrix.from_rows(rows, width), tuple(offsets), nontree
 
 
-def graph_class_vector(g, per_piece, cycles=None):
+def graph_class_vector(g, per_piece, cycles):
     names, _relations, offsets, nontree = graph_presentation(g)
     vec = [0] * len(names)
     for i, (pc, expr) in enumerate(zip(g.pieces, per_piece)):
         for k, entry in enumerate(expr_to_vector(pc, expr)):
             vec[offsets[i] + k] = entry
-    if cycles is not None:
-        t_base = len(names) - len(nontree)
-        for k, entry in enumerate(cycles):
-            vec[t_base + k] = _require_int(entry, f"cycle coordinate {k}")
+    t_base = len(names) - len(nontree)
+    for k, entry in enumerate(cycles):
+        vec[t_base + k] = _require_int(entry, f"cycle coordinate {k}")
     return tuple(vec)

@@ -506,6 +506,72 @@ class TestDeeplyNestedJson:
         assert "Traceback" not in done.stderr
 
 
+class TestSizeLimits:
+    """`plan` and `homology` refuse a manifold past their size limit before
+    any work that grows with it; `bound` takes any size."""
+
+    HUGE = "99999999999999999999"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["plan", "seifert", "--genus", HUGE, "--euler", "2"],
+         "the class length g + n + k of a block is 100000000000000000000; the limit is 2000"),
+        (["plan", "seifert", "--genus", "3000000000", "--euler", "2"],
+         "the class length g + n + k of a block is 3000000001; the limit is 2000"),
+        (["plan", "seifert", "--genus", "100000", "--euler", "2", "--class", "max"],
+         "the class length g + n + k of a block is 100001; the limit is 2000"),
+        (["homology", "seifert", "--genus", HUGE, "--euler", "2"],
+         "the generator count 2g + n + k is 199999999999999999999; the limit is 50000"),
+        (["homology", "seifert", "--genus", "9" * 4300, "--euler", "2", "--class", "max"],
+         "the generator count 2g + n + k is a 14286-bit number; the limit is 50000"),
+    ], ids=["plan-huge", "plan-3e9", "plan-1e5", "homology-huge", "homology-digit-limit"])
+    def test_refused(self, argv, message):
+        out = cli.run(argv)
+        assert out.exit_code == 1 and out.payload == {"error": message}
+        assert out.diagnostics == (message,)
+
+    @given(command=st.sampled_from(["plan", "homology"]), genus=st.integers(25_000, 10**30),
+           euler=st.integers(-3, 3), fibers=st.sampled_from(["", "2/1", "-3/2;5/1"]),
+           spec=st.sampled_from([None, "max", "lambda=;alpha=2"]))
+    @settings(max_examples=60, deadline=None)
+    def test_any_large_genus_is_refused(self, command, genus, euler, fibers, spec):
+        argv = [command, "seifert", f"--genus={genus}", f"--euler={euler}", f"--fibers={fibers}"]
+        out = cli.run(argv + ([] if spec is None else ["--class", spec]))
+        assert out.exit_code == 1 and out.stdout.count("\n") == 1
+        assert out.payload["error"].endswith("; the limit is " + ("2000" if command == "plan" else "50000"))
+
+    def test_bound_takes_any_genus(self):
+        out = cli.run(["bound", "seifert", "--genus", self.HUGE, "--euler", "2"])
+        assert out.exit_code == 0 and out.payload == {"bound": 4 * int(self.HUGE) + 8}
+
+    def test_plan_limit_is_inclusive(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "PLAN_MAX_CLASS_LENGTH", 6)
+        # closed: g + n + 1
+        assert cli.run(["plan", "seifert", "--genus", "3", "--euler", "2", "--fibers", "2/1;3/1"]).exit_code == 0
+        out = cli.run(["plan", "seifert", "--genus", "4", "--euler", "2", "--fibers", "2/1;3/1"])
+        assert out.payload == {"error": "the class length g + n + k of a block is 7; the limit is 6"}
+        # graph pieces: g + n + k, the largest block counting
+        edges = (Gluing(0, 0, 1, 0, SWAP), Gluing(1, 1, 1, 2, SWAP))
+        for genus, exit_code in ((2, 0), (3, 1)):
+            pieces = (SeifertPiece(0, 1, ()), SeifertPiece(genus, 3, ((2, 1),)))
+            out = cli.run(["plan", "graph", str(write_graph(tmp_path, pieces=pieces, edges=edges))])
+            assert out.exit_code == exit_code, out.payload
+
+    def test_homology_limit_is_inclusive(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "HOMOLOGY_MAX_GENERATORS", 7)
+        # closed: 2g + n + 1
+        assert cli.run(["homology", "seifert", "--genus", "2", "--euler", "2", "--fibers", "2/1;3/1"]).exit_code == 0
+        out = cli.run(["homology", "seifert", "--genus", "3", "--euler", "2", "--fibers", "2/1"])
+        assert out.payload == {"error": "the generator count 2g + n + k is 8; the limit is 7"}
+        # a graph: 2g + n + k per piece plus one per independent cycle
+        edges = (Gluing(0, 0, 1, 0, SWAP), Gluing(1, 1, 1, 2, SWAP))
+        pieces = (SeifertPiece(0, 1, ()), SeifertPiece(1, 3, ()))
+        out = cli.run(["homology", "graph", str(write_graph(tmp_path, pieces=pieces, edges=edges))])
+        assert out.exit_code == 0 and len(out.payload["group"]["generators"]) == 7
+        pieces = (SeifertPiece(0, 1, ()), SeifertPiece(1, 3, ((2, 1),)))
+        out = cli.run(["homology", "graph", str(write_graph(tmp_path, pieces=pieces, edges=edges))])
+        assert out.payload == {"error": "the generator count 2g + n + k is 8; the limit is 7"}
+
+
 class TestIntegerDigitLimit:
     """An integer past Python's limit on the digits of an int parsed from text
     exits 1 with one message naming where it was and the limit, at each
@@ -603,8 +669,8 @@ _JUNK = (st.sampled_from(["--", "-", "-h", "--help", "--genus", "--class", "--x"
          | st.text(max_size=6))
 _BAD_INTS = st.sampled_from(["", "-", "x", "1.5", "1e3", "0x10", "2-", "nan", "∞", "- 2",
                              "9" * 5000, "-" + "9" * 5000, "1" + "0" * 4300]) | st.text(max_size=4)
-# small values only where they size a plan: large genus is the open size-guard defect
 _SMALL_INTS = st.integers(-3, 3).map(str) | st.sampled_from(["+2", "007", "-0", " 2", "1_0", "٣"])
+_INTS = _SMALL_INTS | st.integers(-10**30, 10**30).map(str)
 _CLASS_KEYS = st.sampled_from(["lambda", "alpha", "tau", "beta", "", " alpha"])
 _CLASS_VALUES = st.lists(st.integers(-3, 3).map(str) | _BAD_INTS, max_size=4).map(",".join)
 _CLASS_TEXT = st.lists(st.tuples(_CLASS_KEYS, st.sampled_from(["=", "", "=="]), _CLASS_VALUES)
@@ -660,13 +726,12 @@ def _argv(draw, folder):
         return str({"missing": folder / "missing.json", "folder": folder,
                     "nested": folder / "missing" / "out.json"}[kind])
 
-    def integer(small=True):
-        valid = _SMALL_INTS if small else _SMALL_INTS | st.integers(-10**30, 10**30).map(str)
-        return draw(valid if draw(st.integers(0, 5)) else _BAD_INTS)
+    def integer():
+        return draw(_INTS if draw(st.integers(0, 5)) else _BAD_INTS)
 
     options = []
     if target == "seifert":
-        options += [("--genus", integer(command != "bound")), ("--euler", integer(False)),
+        options += [("--genus", integer()), ("--euler", integer()),
                     ("--fibers", draw(_fibers_text()))]
     if command in ("plan", "homology") and target:
         options.append(("--class", draw(st.just("max") | _CLASS_TEXT | _CLASS_JSON | st.text(max_size=8))))
@@ -700,10 +765,11 @@ class TestContractUnderFuzzing:
     subcommand, flags, junk tokens, integer texts, --fibers and --class
     strings, graph documents, missing files or folders given as files.
 
-    Valid runs are kept short: genus, fiber counts and graph sizes stay
+    The genus is drawn up to 10^30 for every command, so `plan` and
+    `homology` can meet their size limits (`TestSizeLimits` checks those
+    directly).  Fiber counts and graph sizes stay
     small, |lambda| <= 21 where it integrates, and `selftest` always carries
-    a junk token.  So this test does not cover the missing size guard:
-    `plan seifert --genus 100000 --euler 2` gives no output after 10 s."""
+    a junk token, so that valid runs stay short."""
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from msflow.errors import (
     AlreadyAdjusted,
+    Alpha0NotAllowed,
     MalformedSpec,
     NotFiberOrbit,
     SaddleInLink,
@@ -21,6 +22,7 @@ from msflow.errors import (
     UnknownTorus,
     ZeroCoefficient,
 )
+from msflow.homology import class_is_maximal
 from msflow.manifolds import (
     GraphManifold,
     Gluing,
@@ -29,6 +31,7 @@ from msflow.manifolds import (
     SeifertPiece,
     SurgeryCoefficient,
     maximal_class,
+    validate_class,
 )
 from msflow.planner import (
     bound_graph,
@@ -188,6 +191,58 @@ class TestPoincareHopf:
         assert not check_poincare_hopf(dict(lift, fibers=lift["fibers"] + [["extra", "attracting", cls]]))
 
 
+def slot_grid():
+    """Closed manifolds with g, n <= 3 and e in [-3, 3], pieces with k <= 3,
+    each with the alpha slots that carry a fiber orbit, derived here from
+    the paper: every slot but slot 0 (the regular fiber) when |e| = 1."""
+    for g in range(4):
+        for n in range(4):
+            for e in range(-3, 4):
+                yield closed(g, e, n), set(range(1 if abs(e) == 1 else 0, n + 1))
+            for k in range(1, 4):
+                yield SeifertPiece(g, k, fibers(n)), set(range(n + 1))
+
+
+def with_alpha(c, j, value):
+    alpha = list(c.alpha)
+    alpha[j] = value
+    return HomologyClassExpr(c.lam, tuple(alpha), c.tau)
+
+
+class TestFiberSlots:
+    """Validation, the maximal class, maximality and the lift step all follow
+    one decision, `fiber_slots`."""
+
+    def test_fiber_slots(self):
+        for m, slots in slot_grid():
+            assert set(m.fiber_slots) == slots
+
+    def test_maximal_class_is_nonzero_exactly_on_the_slots(self):
+        for m, slots in slot_grid():
+            assert {j for j, a in enumerate(maximal_class(m).alpha) if a} == slots
+
+    def test_alpha0_refused_exactly_off_the_slots(self):
+        for m, slots in slot_grid():
+            c = with_alpha(maximal_class(m), 0, 5)
+            if 0 in slots:
+                assert validate_class(m, c) is c
+            else:
+                with pytest.raises(Alpha0NotAllowed):
+                    validate_class(m, c)
+
+    def test_maximality_reads_alpha_only_on_the_slots(self):
+        for m, slots in slot_grid():
+            c = maximal_class(m)
+            assert class_is_maximal(m, c)
+            for j in range(m.n + 1):
+                assert class_is_maximal(m, with_alpha(c, j, 0)) == (j not in slots)
+
+    def test_lift_gammas_are_the_slots(self):
+        for m, slots in slot_grid():
+            gammas = [label for label, _kind, _cls in lift_of(m)["fibers"] if label.startswith("gamma")]
+            assert gammas == [f"gamma{j}" for j in sorted(slots)]
+
+
 def after_lift(m, *steps):
     """Replay the lift step of the maximal-class plan on `m`, then `steps`,
     the way a serialized ledger is replayed."""
@@ -283,7 +338,7 @@ class TestSteps:
         tail = out.orbits[-6:]
         assert [o.kind for o in tail] == [
             "attracting", "repelling", "attracting", "repelling", "saddle", "saddle"]
-        assert all(o.orbit_class.is_zero() for o in tail)
+        assert all(o.orbit_class == HomologyClassExpr((), (0,)) for o in tail)
         assert out.d2_accumulated == led.d2_accumulated
         with pytest.raises(AlreadyAdjusted):
             after_lift(m, ADJUST, ADJUST)
