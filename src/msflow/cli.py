@@ -6,9 +6,11 @@ with shell pipelines.  Exit codes: 0 success, 1 invalid input or usage,
 2 a verification or consistency check failed.
 
 ``plan`` refuses a manifold with a block whose class length g + n + k
-exceeds PLAN_MAX_CLASS_LENGTH, and ``homology`` one whose presentation has
-more than HOMOLOGY_MAX_GENERATORS generators (exit 1); ``bound`` takes any
-size.
+exceeds PLAN_MAX_CLASS_LENGTH, or whose blocks' squared class lengths sum
+past PLAN_MAX_PAYLOAD; ``homology`` refuses one whose presentation has more
+than HOMOLOGY_MAX_GENERATORS generators, or more relations x generators
+cells than homology.MAX_PRESENTATION_CELLS (all exit 1); ``bound`` takes
+any size.
 
 The environment variable MSFLOW_TOL overrides the orbit-closure tolerance
 used by ``verify torus-model``.  OPENBLAS_NUM_THREADS defaults to 1 here,
@@ -66,9 +68,12 @@ from .planner import (
 # them.  A plan's payload grows with the square of a block's class length
 # g + n + k (its lambda, alpha and tau coefficients; k = 1 for a closed
 # manifold): a length of 1,601 (g = n = 800) gives 34 MB, one of 2,000 57 MB.
-# Homology works on a presentation with one column per generator: 2g + n + k
-# per block, plus one per independent cycle of a gluing graph.
+# A graph's blocks add up, so the payload limit, one block at the length
+# limit, bounds the sum of their squares.  Homology works on a presentation
+# with one column per generator: 2g + n + k per block, plus one per
+# independent cycle of a gluing graph.
 PLAN_MAX_CLASS_LENGTH = 2_000
+PLAN_MAX_PAYLOAD = 4_000_000
 HOMOLOGY_MAX_GENERATORS = 50_000
 
 
@@ -278,8 +283,9 @@ def _cmd_bound(args) -> CommandOutcome:
 
 def _cmd_plan(args) -> CommandOutcome:
     m = _manifold_from_args(args)
-    _check_size("the class length g + n + k of a block", max(map(_block_size, _blocks(m))),
-                PLAN_MAX_CLASS_LENGTH)
+    sizes = [_block_size(b) for b in _blocks(m)]
+    _check_size("the class length g + n + k of a block", max(sizes), PLAN_MAX_CLASS_LENGTH)
+    _check_size("the sum over blocks of (g + n + k)^2", sum(size * size for size in sizes), PLAN_MAX_PAYLOAD)
     c, cycles = _parse_class(m, args.class_spec)
     for k, v in enumerate(cycles or ()):
         if v != 0:

@@ -28,9 +28,10 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidInput
 from .manifolds import (
     GraphManifold,
+    Gluing,
     HomologyClassExpr,
     SeifertClosed,
     SeifertPiece,
@@ -41,6 +42,11 @@ from .manifolds import (
 
 # Cached groups keep their elimination logs, one triple per row or column operation.
 _CACHE_SIZE = 16
+
+# A presentation is made dense as relations x generators cells, and elimination
+# rescans its entries after each pivot; a 1,000-piece chain of genus-0 pieces
+# (1,998 x 1,998) is just under this limit and takes about 3 s.
+MAX_PRESENTATION_CELLS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -396,37 +402,67 @@ def _generator_names(m: SeifertClosed | SeifertPiece) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _fiber_rows(m: SeifertClosed | SeifertPiece, width: int, offset: int) -> list[tuple[int, ...]]:
-    # one row p_j*mu_j - q_j*h per fiber, over `width` columns with m's block at `offset`
-    h = offset + 2 * m.genus
-    rows = []
-    for j, f in enumerate(m.fibers):
-        row = [0] * width
-        row[h] = -f.q
-        row[h + 1 + j] = f.p
-        rows.append(tuple(row))
-    return rows
+def _presentation(blocks: tuple[SeifertClosed | SeifertPiece, ...],
+                  edges: tuple[Gluing, ...] = ()) -> GraphPresentation:
+    """Seifert blocks side by side: each brings its generators (prefixed
+    ``p<i>.`` when glued), its closing row if closed and one row per fiber;
+    each non-tree edge m adds a free generator ``t<m>``, and each edge two
+    gluing rows.  Rows stay {column: value} maps until their cell count has
+    been checked against MAX_PRESENTATION_CELLS."""
+    names: list[str] = []
+    rows: list[dict[int, int]] = []
+    fiber_cols = []
+    for i, pc in enumerate(blocks):
+        h = len(names) + 2 * pc.genus
+        fiber_cols.append(h)
+        names += [f"p{i}.{name}" if edges else name for name in _generator_names(pc)]
+        if isinstance(pc, SeifertClosed):
+            rows.append({h: pc.euler, **{h + 1 + j: 1 for j in range(pc.n)}})
+        rows += [{h: -f.q, h + 1 + j: f.p} for j, f in enumerate(pc.fibers)]
+    _tree, nontree = spanning_tree(len(blocks), edges)
+    names += [f"t{idx}" for idx in nontree]
+
+    def section(piece: int, slot: int) -> dict[int, int]:
+        # slots 1..k-1 carry delta_1..delta_{k-1}; the slot-0 section is minus every mu_j and delta_c
+        pc, h = blocks[piece], fiber_cols[piece]
+        return {h + pc.n + slot: 1} if slot else {col: -1 for col in range(h + 1, h + pc.n + pc.boundary)}
+
+    # each gluing identifies (fiber, section) of side a with the matrix image
+    # of (fiber, section) of side b
+    for e in edges:
+        (a, b), (c, d) = e.matrix
+        fiber_b, section_b = {fiber_cols[e.piece_b]: 1}, section(e.piece_b, e.slot_b)
+        for row, x, y in (({fiber_cols[e.piece_a]: 1}, a, c), (section(e.piece_a, e.slot_a), b, d)):
+            for terms, k in ((fiber_b, -x), (section_b, -y)):
+                for col, v in terms.items():
+                    row[col] = row.get(col, 0) + k * v
+            rows.append(row)
+
+    width = len(names)
+    if len(rows) * width > MAX_PRESENTATION_CELLS:
+        raise InvalidInput(f"the presentation has {len(rows)} relations over {width} generators, "
+                           f"{len(rows) * width} cells; the limit is {MAX_PRESENTATION_CELLS}")
+    dense = []
+    for row in rows:
+        entries = [0] * width
+        for col, v in row.items():
+            entries[col] = v
+        dense.append(tuple(entries))
+    return GraphPresentation(tuple(names), IntMatrix.from_rows(dense, width), nontree)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def seifert_h1(m: SeifertClosed) -> H1Group:
     """H_1 of a closed Seifert manifold from the surgery presentation."""
-    names = _generator_names(m)
-    width = len(names)
-    closing = [0] * width
-    closing[2 * m.genus] = m.euler
-    for j in range(m.n):
-        closing[2 * m.genus + 1 + j] = 1
-    rows = [tuple(closing)] + _fiber_rows(m, width, 0)
-    return group_from_presentation(IntMatrix.from_rows(rows, width), names)
+    pres = _presentation((m,))
+    return group_from_presentation(pres.relations, pres.generator_names)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def piece_h1(p: SeifertPiece) -> H1Group:
     """H_1 of a bounded piece: fiber relations only, no closing row."""
-    names = _generator_names(p)
-    rows = _fiber_rows(p, len(names), 0)
-    return group_from_presentation(IntMatrix.from_rows(rows, len(names)), names)
+    pres = _presentation((p,))
+    return group_from_presentation(pres.relations, pres.generator_names)
 
 
 def _core_pair(f) -> tuple[int, int]:
@@ -490,46 +526,7 @@ class GraphPresentation:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def graph_presentation(g: GraphManifold) -> GraphPresentation:
-    offsets = []
-    names: list[str] = []
-    for i, pc in enumerate(g.pieces):
-        offsets.append(len(names))
-        names += [f"p{i}.{name}" for name in _generator_names(pc)]
-    _tree, nontree = spanning_tree(g.l, g.edges)
-    names += [f"t{idx}" for idx in nontree]
-    width = len(names)
-    rows: list[tuple[int, ...]] = []
-    for pc, offset in zip(g.pieces, offsets):
-        rows += _fiber_rows(pc, width, offset)
-
-    def side(piece: int, slot: int) -> tuple[dict[int, int], dict[int, int]]:
-        # the fiber and the section curve on one boundary slot, as {column:
-        # coefficient}: slots 1..k-1 carry delta_1..delta_{k-1}, and the
-        # slot-0 section is minus every mu_j and every delta_c
-        pc = g.pieces[piece]
-        h = offsets[piece] + 2 * pc.genus
-        if slot:
-            return {h: 1}, {h + pc.n + slot: 1}
-        return {h: 1}, {col: -1 for col in range(h + 1, h + pc.n + pc.boundary)}
-
-    # each gluing identifies (fiber, section) of side a with the matrix image
-    # of (fiber, section) of side b; a non-tree edge additionally contributes
-    # the free generator t<idx> of the gluing graph's cycle space
-    for e in g.edges:
-        (a, b), (c, d) = e.matrix
-        fiber_a, section_a = side(e.piece_a, e.slot_a)
-        fiber_b, section_b = side(e.piece_b, e.slot_b)
-        for lhs, x, y in ((fiber_a, a, c), (section_a, b, d)):
-            row = [0] * width
-            for terms, k in ((lhs, 1), (fiber_b, -x), (section_b, -y)):
-                for col, v in terms.items():
-                    row[col] += k * v
-            rows.append(tuple(row))
-    return GraphPresentation(
-        generator_names=tuple(names),
-        relations=IntMatrix.from_rows(rows, width),
-        nontree_edges=nontree,
-    )
+    return _presentation(g.pieces, g.edges)
 
 
 def graph_h1(g: GraphManifold) -> H1Group:
