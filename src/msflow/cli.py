@@ -54,6 +54,7 @@ from .manifolds import (
     maximal_class,
     parse_graph,
     parse_seifert,
+    validate_class,
 )
 from .planner import (
     bound_graph,
@@ -310,11 +311,13 @@ def _cmd_homology(args) -> CommandOutcome:
     rank = 0 if isinstance(m, SeifertClosed) else len(m.edges) - m.l + 1
     _check_size("the generator count 2g + n + k", sum(b.genus + _block_size(b) for b in _blocks(m)) + rank,
                 HOMOLOGY_MAX_GENERATORS)
+    if args.class_spec is not None:
+        c, cycles = _parse_class(m, args.class_spec)
+        validate_class(m, c)
     group = seifert_h1(m) if isinstance(m, SeifertClosed) else graph_h1(m)
     payload: dict = {"group": group.to_json()}
     if args.class_spec is None:
         return CommandOutcome(0, payload)
-    c, cycles = _parse_class(m, args.class_spec)
     if cycles is None:
         vector = expr_to_vector(m, c)
         payload["class"] = c.to_json()

@@ -44,8 +44,9 @@ from .manifolds import (
 _CACHE_SIZE = 16
 
 # A presentation is made dense as relations x generators cells, and elimination
-# rescans its entries after each pivot; a 1,000-piece chain of genus-0 pieces
-# (1,998 x 1,998) is just under this limit and takes about 3 s.
+# rescans its entries after each pivot.  Under this limit, a 1,000-piece chain of
+# genus-0 pieces (1,998 x 1,998) takes 2.5-4.5 s, and the longest ladder
+# admitted, g = 0 with fibers 2/1;3/1;...;2000/1 (2,000 x 2,000), 67 s and 670 MB.
 MAX_PRESENTATION_CELLS = 4_000_000
 
 
@@ -211,13 +212,17 @@ class _Reduction:
 def _eliminate(relations: IntMatrix) -> _Reduction:
     """Diagonalize R by sparse integer elimination (no divisibility chain).
 
-    Rows are {col: value} dicts with a column -> rows index.  Each pivot is
-    the entry of least |value|, ties broken by Markowitz cost
-    (row nnz - 1) * (col nnz - 1) and then by (row, col).  Row operations
+    Rows are {col: value} dicts with a column -> rows index.  Every pivot is
+    the candidate least in one key, (Markowitz cost (row nnz - 1) *
+    (col nnz - 1), |value|, row, col), so fill decides before entry size
+    (Havas, Holt and Rees, "Recognizing badly presented Z-modules", 1993).
+    The candidates are every entry at the start of a round, then the nonzero
+    remainders in the pivot's column, then those in its row.  Row operations
     clear the pivot column; column operations then clear the pivot row and,
-    with the column already clear, touch that row only.  Nonzero remainders
-    are strictly smaller than the pivot, and the least becomes the next one
-    (Euclid), so the loop terminates.
+    with the column already clear, touch that row only.  A remainder of a
+    division by the pivot is smaller in |value|, so within a round each
+    pivot is smaller than the last and the round ends; each round empties a
+    row and a column, so the loop terminates.
     """
     rows = [{j: a for j, a in enumerate(row) if a} for row in relations.entries]
     cols: list[set[int]] = [set() for _ in range(relations.cols)]
@@ -229,12 +234,8 @@ def _eliminate(relations: IntMatrix) -> _Reduction:
     col_ops: list[tuple[int, int, int]] = []
 
     def best(entries) -> tuple[int, int] | None:
-        entries = [(abs(a), r, c) for r, c, a in entries]
-        if not entries:
-            return None
-        least = min(entries)[0]
-        _, r, c = min(((len(rows[r]) - 1) * (len(cols[c]) - 1), r, c) for v, r, c in entries if v == least)
-        return r, c
+        key = min((((len(rows[r]) - 1) * (len(cols[c]) - 1), abs(a), r, c) for r, c, a in entries), default=None)
+        return None if key is None else key[2:]
 
     def add(r: int, j: int, delta: int) -> None:
         value = rows[r].get(j, 0) + delta

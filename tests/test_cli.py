@@ -191,6 +191,34 @@ class TestHomology:
         assert code == 1
         assert json.loads(capsys.readouterr().out) == {"error": "unknown class keys ['piece']"}
 
+    @pytest.mark.parametrize("target,spec", [
+        ("seifert", "lambda=x"),
+        ("seifert", "lambda=;alpha=2"),
+        ("graph", '{"pieces": ['),
+        ("graph", '{"cycles": [0]}'),
+    ], ids=["bad-text", "wrong-length", "malformed-json", "wrong-cycle-count"])
+    def test_class_is_checked_before_the_group(self, monkeypatch, tmp_path, target, spec):
+        calls = []
+        compute = homology.group_from_presentation
+        monkeypatch.setattr(homology, "group_from_presentation", lambda *a: calls.append(a) or compute(*a))
+        for cached in (homology.seifert_h1, homology.piece_h1, homology.graph_presentation):
+            cached.cache_clear()
+        where = (["--genus", "0", "--euler", "3", "--fibers", "2/1"] if target == "seifert"
+                 else [str(write_graph(tmp_path))])
+        out = cli.run(["homology", target, *where, "--class", spec])
+        assert out.exit_code == 1 and "error" in out.payload
+        assert calls == []
+
+    def test_fiber_ladder_finishes(self):
+        # fibers 2/1;3/1;...;501/1: each fiber row's h entry is -1, and
+        # pivoting on h first would fill each fiber row with every other
+        fibers = ";".join(f"{j + 2}/1" for j in range(500))
+        homology.seifert_h1.cache_clear()
+        start = time.perf_counter()
+        out = cli.run(["homology", "seifert", "--genus", "0", "--euler", "3", "--fibers", fibers, "--class", "max"])
+        assert out.exit_code == 0 and out.payload["group"]["free_rank"] == 0
+        assert time.perf_counter() - start < 10
+
 
 class TestVerify:
     def test_torus_model(self):

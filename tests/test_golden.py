@@ -5,7 +5,9 @@ pipeline; any change to a ledger's bytes (labels, orbit order, class JSON,
 key order) shows up here as a digest mismatch.  The two large
 ``homology seifert`` rows were recorded before the dense Smith normal form
 gave way to sparse elimination; they pin invariant-factor lists at a size
-where the elimination's pivot order differs from the dense one.
+where the elimination's pivot order differs from the dense one.  The
+300-fiber row was recorded before the elimination chose its pivots by
+Markowitz cost first.
 """
 
 import hashlib
@@ -77,6 +79,9 @@ LADDER = [
     (["homology", "seifert", "--genus", "0", "--euler", "3", "--fibers", _fibers(60),
       "--class", "max"], 0,
      "dfe3d977d72e9022c5f49bced22efdb7607155f532695c2bb5031d1c7c9c60fd"),
+    (["homology", "seifert", "--genus", "0", "--euler", "3", "--fibers", _fibers(300),
+      "--class", "max"], 0,
+     "b049fd2b224088180e5f658e117a6fa87ecf2ed965198badd62eb6acb315bc6c"),
 ]
 
 

@@ -463,7 +463,17 @@ class TestClassQueriesReuseTheGroupSNF:
 
 @st.composite
 def presentations(draw):
-    """Relation matrices up to 6x7 with zero rows, zero columns and dependent rows."""
+    """Relation matrices up to 6x7 with zero rows, zero columns and dependent
+    rows, or arrowheads shaped like a genus-0 Seifert presentation: an h
+    column that meets every row, fiber rows p_j*mu_j - q_j*h with coprime
+    p and q, up to 10 of them, and an optional closing row e*h + sum(mu_j)."""
+    if draw(st.booleans()):
+        pq = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda t: t[0] and t[1] and math.gcd(*t) == 1)
+        fibers = draw(st.lists(pq, max_size=10))
+        entries = [[-q] + [p if k == j else 0 for k in range(len(fibers))] for j, (p, q) in enumerate(fibers)]
+        if draw(st.booleans()):
+            entries.append([draw(st.integers(-4, 4))] + [1] * len(fibers))
+        return IntMatrix(len(entries), len(fibers) + 1, tuple(map(tuple, entries)))
     rows = draw(st.integers(min_value=0, max_value=6))
     cols = draw(st.integers(min_value=0, max_value=7))
     zero_rows = draw(st.sets(st.integers(min_value=0, max_value=rows - 1))) if rows else set()
@@ -479,7 +489,7 @@ def presentations(draw):
 
 class TestSparseEliminationMatchesDenseSNF:
     @given(a=presentations())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_free_rank_and_invariant_factors(self, a):
         diag = [d for d in smith_normal_form(a).diagonal() if d]
         group = group_from_presentation(a, _names(a.cols))
