@@ -14,12 +14,15 @@ plus boundary classes delta_1..delta_{k-1} and drop the closing row; the
 section curve on boundary slot 0 is then the combination
 -sum(delta_c) - sum(mu_j).
 
-Everything is exact arbitrary-precision integer arithmetic.  A group runs
-one sparse elimination of its relations and keeps the logged row and column
-operations instead of dense transforms U and V, whose entries grow to
-thousands of bits on large presentations; class queries replay those
-operations on the class vector.  `smith_normal_form` is the dense reference
-with explicit U and V; no homology path calls it.
+Everything is exact arbitrary-precision integer arithmetic.  A presentation
+is a tuple of sparse rows, one per relation, each a tuple of (column, value)
+pairs with strictly increasing columns and no zero values; it keeps this one
+form from the builder through the elimination to the certificate check.  A
+group runs one sparse elimination of its relations and keeps the logged row
+and column operations instead of dense transforms U and V, whose entries grow
+to thousands of bits on large presentations; class queries replay those
+operations on the class vector.  `IntMatrix` and `smith_normal_form` are the
+dense reference with explicit U and V; no homology path builds or calls them.
 """
 
 from __future__ import annotations
@@ -43,11 +46,15 @@ from .manifolds import (
 # Cached groups keep their elimination logs, one triple per row or column operation.
 _CACHE_SIZE = 16
 
-# A presentation is made dense as relations x generators cells, and elimination
-# rescans its entries after each pivot.  Under this limit, a 1,000-piece chain of
-# genus-0 pieces (1,998 x 1,998) takes 2.5-4.5 s, and the longest ladder
-# admitted, g = 0 with fibers 2/1;3/1;...;2000/1 (2,000 x 2,000), 67 s and 670 MB.
+# Relations x generators.  The presentation is stored sparse, but elimination
+# rescans its remaining entries after each pivot, and those scans grow with this
+# product.  Under it, a 1,000-piece chain of genus-0 pieces (1,998 x 1,998) takes
+# 1.6-2.4 s and 31 MB, and the longest ladder admitted, g = 0 with fibers
+# 2/1;3/1;...;2000/1 (2,000 x 2,000), 66 s and 640 MB.
 MAX_PRESENTATION_CELLS = 4_000_000
+
+# One relation per row, as (column, value) pairs: columns strictly increasing, no zero values.
+SparseRows = tuple[tuple[tuple[int, int], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -209,13 +216,15 @@ class _Reduction:
     col_ops: tuple[tuple[int, int, int], ...]
 
 
-def _eliminate(relations: IntMatrix) -> _Reduction:
-    """Diagonalize R by sparse integer elimination (no divisibility chain).
+def _eliminate(relations: SparseRows, width: int) -> _Reduction:
+    """Diagonalize the sparse rows R, `width` columns wide, by integer
+    elimination (no divisibility chain).
 
-    Rows are {col: value} dicts with a column -> rows index.  Every pivot is
-    the candidate least in one key, (Markowitz cost (row nnz - 1) *
-    (col nnz - 1), |value|, row, col), so fill decides before entry size
-    (Havas, Holt and Rees, "Recognizing badly presented Z-modules", 1993).
+    Each row is copied into a {col: value} dict, in column order, with a
+    column -> rows index.  Every pivot is the candidate least in one key,
+    (Markowitz cost (row nnz - 1) * (col nnz - 1), |value|, row, col), so
+    fill decides before entry size (Havas, Holt and Rees, "Recognizing badly
+    presented Z-modules", 1993).
     The candidates are every entry at the start of a round, then the nonzero
     remainders in the pivot's column, then those in its row.  Row operations
     clear the pivot column; column operations then clear the pivot row and,
@@ -224,8 +233,8 @@ def _eliminate(relations: IntMatrix) -> _Reduction:
     pivot is smaller than the last and the round ends; each round empties a
     row and a column, so the loop terminates.
     """
-    rows = [{j: a for j, a in enumerate(row) if a} for row in relations.entries]
-    cols: list[set[int]] = [set() for _ in range(relations.cols)]
+    rows = [dict(row) for row in relations]
+    cols: list[set[int]] = [set() for _ in range(width)]
     for r, row in enumerate(rows):
         for j in row:
             cols[j].add(r)
@@ -284,8 +293,8 @@ def _invariant_factors(diagonal: list[int]) -> tuple[int, ...]:
     return tuple(d for d in ds if d > 1)
 
 
-def _solve(relations: IntMatrix, reduction: _Reduction, v: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Integer x with x @ R = v, from a reduction of the relations R, or None.
+def _solve(relations: SparseRows, reduction: _Reduction, v: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Integer x with x @ R = v, from a reduction of the sparse rows R, or None.
 
     v lies in the row lattice of R iff w = v @ V does in that of D: w must be
     a multiple of d at each pivot column and zero elsewhere.  The witness is
@@ -296,7 +305,7 @@ def _solve(relations: IntMatrix, reduction: _Reduction, v: tuple[int, ...]) -> t
     w = list(v)
     for j, c, f in reduction.col_ops:
         w[j] += f * w[c]
-    x = [0] * relations.rows
+    x = [0] * len(relations)
     for r, c, d, sign in reduction.pivots:
         q, rem = divmod(w[c], d)
         if rem:
@@ -307,10 +316,10 @@ def _solve(relations: IntMatrix, reduction: _Reduction, v: tuple[int, ...]) -> t
         return None  # nonzero on a column without a pivot
     for k, i, f in reversed(reduction.row_ops):
         x[i] += f * x[k]
-    image = [0] * relations.cols
-    for xr, row in zip(x, relations.entries):
+    image = [0] * len(v)
+    for xr, row in zip(x, relations):
         if xr:
-            for j, a in enumerate(row):
+            for j, a in row:
                 image[j] += xr * a
     if tuple(image) != v:
         raise ArithmeticError("elimination witness failed re-multiplication")
@@ -321,16 +330,18 @@ def solve_in_image(a: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...] | None:
     """Return an integer x with A @ x = v, or None when v is not in the image."""
     if len(v) != a.rows:
         raise DimensionMismatch(f"vector of length {len(v)} against {a.rows}x{a.cols} matrix")
-    columns = a.transpose()
-    return _solve(columns, _eliminate(columns), v)
+    columns = tuple(tuple((i, row[j]) for i, row in enumerate(a.entries) if row[j]) for j in range(a.cols))
+    return _solve(columns, _eliminate(columns, a.rows), v)
 
 
 @dataclass(frozen=True)
 class H1Group:
     """H_1 as free rank, invariant factors, and the presentation they came from.
 
-    `presentation` has one row per relation over `generator_names`.  The
-    invariant factors keep only entries >= 2 and satisfy d_i | d_{i+1}.
+    `presentation` has one sparse row per relation over `generator_names`:
+    a tuple of (column, value) pairs, columns strictly increasing, values
+    nonzero.  The invariant factors keep only entries >= 2 and satisfy
+    d_i | d_{i+1}.
     `reduction` is the one sparse elimination of `presentation`, kept so that
     class queries replay its operations instead of eliminating again; it
     takes no part in equality, hashing, repr or `to_json`.
@@ -338,7 +349,7 @@ class H1Group:
 
     free_rank: int
     invariant_factors: tuple[int, ...]
-    presentation: IntMatrix
+    presentation: SparseRows
     generator_names: tuple[str, ...]
     reduction: _Reduction = field(compare=False, repr=False)
 
@@ -376,10 +387,16 @@ class H1Group:
         }
 
 
-def group_from_presentation(relations: IntMatrix, names: tuple[str, ...]) -> H1Group:
-    if relations.cols != len(names):
-        raise DimensionMismatch(f"{relations.cols} columns for {len(names)} generators")
-    reduction = _eliminate(relations)
+def group_from_presentation(relations: SparseRows, names: tuple[str, ...]) -> H1Group:
+    """The group of sparse rows in the format of `H1Group.presentation`.  A
+    row out of that format raises: elimination would read a repeated column
+    as its last value and could pivot on a zero."""
+    for row in relations:
+        # the columns as given must be exactly the sorted in-range columns of nonzero values
+        kept = {j for j, a in row if _require_int(a, "relation entry") and 0 <= j < len(names)}
+        if [j for j, _ in row] != sorted(kept):
+            raise DimensionMismatch(f"a relation needs nonzero values at increasing columns in range({len(names)})")
+    reduction = _eliminate(relations, len(names))
     return H1Group(
         free_rank=len(names) - len(reduction.pivots),
         invariant_factors=_invariant_factors([d for _, _, d, _ in reduction.pivots]),
@@ -408,8 +425,9 @@ def _presentation(blocks: tuple[SeifertClosed | SeifertPiece, ...],
     """Seifert blocks side by side: each brings its generators (prefixed
     ``p<i>.`` when glued), its closing row if closed and one row per fiber;
     each non-tree edge m adds a free generator ``t<m>``, and each edge two
-    gluing rows.  Rows stay {column: value} maps until their cell count has
-    been checked against MAX_PRESENTATION_CELLS."""
+    gluing rows.  Rows are built as {column: value} maps and left as sorted
+    nonzero (column, value) pairs once their cell count has been checked
+    against MAX_PRESENTATION_CELLS."""
     names: list[str] = []
     rows: list[dict[int, int]] = []
     fiber_cols = []
@@ -443,13 +461,10 @@ def _presentation(blocks: tuple[SeifertClosed | SeifertPiece, ...],
     if len(rows) * width > MAX_PRESENTATION_CELLS:
         raise InvalidInput(f"the presentation has {len(rows)} relations over {width} generators, "
                            f"{len(rows) * width} cells; the limit is {MAX_PRESENTATION_CELLS}")
-    dense = []
-    for row in rows:
-        entries = [0] * width
-        for col, v in row.items():
-            entries[col] = v
-        dense.append(tuple(entries))
-    return GraphPresentation(tuple(names), IntMatrix.from_rows(dense, width), nontree)
+    # explicit zeros are dropped: a closing row with e = 0 holds one, and so does a
+    # gluing row where a matrix entry 0 added 0 * value
+    sparse = tuple(tuple(sorted((col, v) for col, v in row.items() if v)) for row in rows)
+    return GraphPresentation(tuple(names), sparse, nontree)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -517,11 +532,12 @@ class GraphPresentation:
     piece, followed by one free generator ``t<m>`` per non-tree edge m,
     listed in `nontree_edges`.  The trailing ``len(nontree_edges)``
     coordinates of a class are its image in the cycle space of the gluing
-    multigraph.
+    multigraph.  `relations` are sparse rows in the format of
+    `H1Group.presentation`.
     """
 
     generator_names: tuple[str, ...]
-    relations: IntMatrix
+    relations: SparseRows
     nontree_edges: tuple[int, ...]
 
 

@@ -72,6 +72,18 @@ class TestBound:
         assert out.payload == {"bound": 22}
         assert cli.run(["bound", "sum"]).payload == {"bound": 6}
 
+    def test_one_piece_self_glued_component(self, tmp_path):
+        # the sum takes a component that the graph bound and plan refuse
+        path = write_graph(tmp_path, pieces=(SeifertPiece(0, 2, ()),), edges=(Gluing(0, 0, 0, 1, SWAP),))
+        out = cli.run(["bound", "sum", str(path)])
+        assert out.exit_code == 0 and out.payload == {"bound": 12}
+        out = cli.run(["bound", "graph", str(path)])
+        assert out.exit_code == 1
+        assert out.payload == {"error": "the graph bound needs at least two pieces; use the Seifert bound instead"}
+        out = cli.run(["plan", "graph", str(path)])
+        assert out.exit_code == 1
+        assert out.payload == {"error": "a one-piece graph manifold is planned as a Seifert piece"}
+
     def test_missing_file(self):
         out = cli.run(["bound", "graph", "no-such-file.json"])
         assert out.exit_code == 1 and "error" in out.payload
@@ -208,6 +220,18 @@ class TestHomology:
         out = cli.run(["homology", target, *where, "--class", spec])
         assert out.exit_code == 1 and "error" in out.payload
         assert calls == []
+
+    def test_no_dense_matrix_is_built(self, monkeypatch, tmp_path):
+        built = []
+        monkeypatch.setattr(homology.IntMatrix, "__post_init__", lambda m: built.append((m.rows, m.cols)))
+        for cached in (homology.seifert_h1, homology.piece_h1, homology.graph_presentation):
+            cached.cache_clear()
+        pieces = (SeifertPiece(1, 1, ()), SeifertPiece(0, 2, ()), SeifertPiece(0, 1, ()))
+        path = write_graph(tmp_path, pieces=pieces, edges=(Gluing(0, 0, 1, 0, SWAP), Gluing(1, 1, 2, 0, SWAP)))
+        for argv in (["seifert", "--genus", "1", "--euler", "3", "--fibers", "2/1;5/3"], ["graph", str(path)]):
+            out = cli.run(["homology", *argv, "--class", "max"])
+            assert out.exit_code == 0 and "group" in out.payload
+        assert built == []
 
     def test_fiber_ladder_finishes(self):
         # fibers 2/1;3/1;...;501/1: each fiber row's h entry is -1, and

@@ -7,7 +7,8 @@ key order) shows up here as a digest mismatch.  The two large
 gave way to sparse elimination; they pin invariant-factor lists at a size
 where the elimination's pivot order differs from the dense one.  The
 300-fiber row was recorded before the elimination chose its pivots by
-Markowitz cost first.
+Markowitz cost first, and the 300-piece chain row before the presentation
+stopped being stored as a dense matrix.
 """
 
 import hashlib
@@ -43,12 +44,22 @@ SEIFERT_WADA = ["plan", "seifert", "--genus", "2", "--euler", "-3", "--fibers", 
                 "--class", "lambda=3,-2;alpha=2,4,-5"]
 
 
+def _long_chain(length):
+    """A chain whose pieces cycle through genus 0-2 and zero to two fibers,
+    glued alternately by SWAP and by a unimodular matrix that moves the fiber."""
+    fibers = ([], [[3, 1]], [[5, 2], [-2, 1]], [[7, -3]])
+    pieces = [{"genus": i % 3, "boundary": 1 if i in (0, length - 1) else 2, "fibers": fibers[i % 4]}
+              for i in range(length)]
+    edges = [[i, min(i, 1), i + 1, 0, [[1, 2], [-1, -1]] if i % 2 else SWAP] for i in range(length - 1)]
+    return {"pieces": pieces, "edges": edges}
+
+
 def _fibers(n):
     """Fibers 2/1;3/1;...;(n+1)/1, large enough that elimination order matters."""
     return ";".join(f"{j + 2}/1" for j in range(n))
 
 
-# (argv with {two}/{chain} standing for fixture paths, exit code, sha256 of stdout)
+# (argv with {two}/{chain}/{long} standing for fixture paths, exit code, sha256 of stdout)
 LADDER = [
     (["plan", "seifert", "--genus", "1", "--euler", "2"], 0,
      "45c48a66db64c3ea762e5cb9fadcada4030edc4810a85c47b2a23e9a1eff3e4f"),
@@ -82,13 +93,15 @@ LADDER = [
     (["homology", "seifert", "--genus", "0", "--euler", "3", "--fibers", _fibers(300),
       "--class", "max"], 0,
      "b049fd2b224088180e5f658e117a6fa87ecf2ed965198badd62eb6acb315bc6c"),
+    (["homology", "graph", "{long}", "--class", "max"], 0,
+     "f88f1369dfb5e6313322d8827579ec3134888ec98be8c77d1f2744838188c104"),
 ]
 
 
 @pytest.fixture
 def paths(tmp_path):
     out = {}
-    for name, doc in (("two", TWO_PIECES), ("chain", CHAIN3)):
+    for name, doc in (("two", TWO_PIECES), ("chain", CHAIN3), ("long", _long_chain(300))):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         out["{" + name + "}"] = str(path)

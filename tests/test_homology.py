@@ -46,6 +46,11 @@ from msflow.manifolds import (
 SWAP = ((0, 1), (1, 0))
 
 
+def _rows(m: IntMatrix):
+    """The sparse rows of a dense matrix, in the format of `H1Group.presentation`."""
+    return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in m.entries)
+
+
 def minor_gcd(m: IntMatrix, k: int) -> int:
     """gcd of all k x k minors, the independent oracle for SNF diagonals."""
     rows_idx = range(m.rows)
@@ -252,8 +257,11 @@ class TestSeifertHomology:
         g = seifert_h1(m)
         assert g.free_rank == 2 * genus
         assert g.torsion_order() == abs(3 * prod + sum(q * prod // p for p, q in fibers))
-        rows = g.presentation.entries
-        combo = tuple(sum((r + 1) * row[j] for r, row in enumerate(rows)) for j in range(len(rows[0])))
+        combo = [0] * len(g.generator_names)
+        for r, row in enumerate(g.presentation):
+            for j, a in row:
+                combo[j] += (r + 1) * a
+        combo = tuple(combo)
         assert g.is_trivial_class(combo)
         assert not g.is_trivial_class(tuple(x + (j == 0) for j, x in enumerate(combo)))
 
@@ -420,8 +428,9 @@ class TestClassQueriesReuseTheGroupSNF:
         entries = tuple(
             tuple(data.draw(st.integers(min_value=-6, max_value=6)) for _ in range(cols))
             for _ in range(rows))
-        group = group_from_presentation(IntMatrix(rows, cols, entries), _names(cols))
-        reference = group.presentation.transpose()
+        dense = IntMatrix(rows, cols, entries)
+        group = group_from_presentation(_rows(dense), _names(cols))
+        reference = dense.transpose()
         v = tuple(data.draw(st.integers(min_value=-6, max_value=6)) for _ in range(cols))
         assert group.is_trivial_class(v) == (solve_in_image(reference, v) is not None)
         coeffs = [data.draw(st.integers(min_value=-4, max_value=4)) for _ in range(rows)]
@@ -432,7 +441,10 @@ class TestClassQueriesReuseTheGroupSNF:
     def test_one_snf_for_a_group_and_three_queries(self, monkeypatch):
         """Neither the group nor its queries run the dense Smith normal form."""
         m = closed(2, 3, ((3, 2), (5, 1)))
+        # generators a1 b1 a2 b2 h mu1 mu2: the closing row, then p*mu - q*h per fiber
+        dense = IntMatrix.from_rows(((0, 0, 0, 0, 3, 1, 1), (0, 0, 0, 0, -2, 3, 0), (0, 0, 0, 0, -1, 0, 5)), 7)
         relations, names = seifert_h1(m).presentation, seifert_h1(m).generator_names
+        assert relations == _rows(dense)
         queries = [fiber_vector(m), expr_to_vector(m, maximal_class(m)), (0,) * len(names)]
         calls = []
         real = homology.smith_normal_form
@@ -446,17 +458,18 @@ class TestClassQueriesReuseTheGroupSNF:
         answers = [group.is_trivial_class(q) for q in queries]
         assert len(calls) == 0
         monkeypatch.undo()
-        assert answers == [solve_in_image(relations.transpose(), q) is not None for q in queries]
+        assert answers == [solve_in_image(dense.transpose(), q) is not None for q in queries]
 
     def test_snf_is_not_part_of_equality_or_json(self):
-        a = group_from_presentation(IntMatrix.from_rows(((2, 0),), 2), _names(2))
-        b = dataclasses.replace(a, reduction=homology._eliminate(IntMatrix.from_rows(((0, 2),), 2)))
+        a = group_from_presentation(_rows(IntMatrix.from_rows(((2, 0),), 2)), _names(2))
+        b = dataclasses.replace(a, reduction=homology._eliminate(_rows(IntMatrix.from_rows(((0, 2),), 2)), 2))
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert "reduction" not in a.to_json()
 
     def test_guard_rejects_a_witness_from_a_foreign_snf(self):
-        group = group_from_presentation(IntMatrix.from_rows(((2, 0),), 2), _names(2))
-        forged = dataclasses.replace(group, reduction=homology._eliminate(IntMatrix.from_rows(((1, 0),), 2)))
+        group = group_from_presentation(_rows(IntMatrix.from_rows(((2, 0),), 2)), _names(2))
+        foreign = homology._eliminate(_rows(IntMatrix.from_rows(((1, 0),), 2)), 2)
+        forged = dataclasses.replace(group, reduction=foreign)
         with pytest.raises(ArithmeticError):
             forged.is_trivial_class((1, 0))
 
@@ -492,7 +505,7 @@ class TestSparseEliminationMatchesDenseSNF:
     @settings(max_examples=300, deadline=None)
     def test_free_rank_and_invariant_factors(self, a):
         diag = [d for d in smith_normal_form(a).diagonal() if d]
-        group = group_from_presentation(a, _names(a.cols))
+        group = group_from_presentation(_rows(a), _names(a.cols))
         assert group.free_rank == a.cols - len(diag)
         assert group.invariant_factors == tuple(d for d in diag if d > 1)
 
@@ -551,7 +564,7 @@ class TestAgainstReferenceAssembly:
         g = _self_glued(rng) if self_glued else random_graph_manifold(rng)
         names, relations, _offsets, nontree = reference_homology.graph_presentation(g)
         pres = graph_presentation(g)
-        assert (pres.generator_names, pres.relations, pres.nontree_edges) == (names, relations, nontree)
+        assert (pres.generator_names, pres.relations, pres.nontree_edges) == (names, _rows(relations), nontree)
         exprs = tuple(
             HomologyClassExpr(
                 tuple(rng.randint(-4, 4) for _ in range(p.genus)),
@@ -560,3 +573,45 @@ class TestAgainstReferenceAssembly:
             for p in g.pieces)
         for cyc in ((0,) * len(nontree), tuple(rng.randint(-3, 3) for _ in nontree)):
             assert graph_class_vector(g, exprs, cyc) == reference_homology.graph_class_vector(g, exprs, cyc)
+
+
+def _swap_chain(rng):
+    """A chain of 2-12 pieces glued end to end by SWAP, whose gluing rows
+    each gain a 0 * value term from the matrix's zero entries."""
+    from msflow.selftest import _random_fibers
+
+    length = rng.randint(2, 12)
+    pieces = tuple(SeifertPiece(rng.randint(0, 2), 1 if i in (0, length - 1) else 2,
+                                _random_fibers(rng, rng.randint(0, 3))) for i in range(length))
+    return GraphManifold(pieces, tuple(Gluing(i, min(i, 1), i + 1, 0, SWAP) for i in range(length - 1)))
+
+
+class TestSparseRows:
+    """A presentation is one tuple of rows, each of (column, value) pairs."""
+
+    @given(seed=st.integers(min_value=0, max_value=10 ** 6),
+           kind=st.sampled_from(("random", "self-glued", "swap-chain")))
+    @settings(max_examples=150, deadline=None)
+    def test_columns_increase_and_values_are_nonzero_ints(self, seed, kind):
+        from msflow.selftest import random_graph_manifold
+
+        build = {"random": random_graph_manifold, "self-glued": _self_glued, "swap-chain": _swap_chain}[kind]
+        pres = graph_presentation(build(random.Random(seed)))
+        width = len(pres.generator_names)
+        for row in pres.relations:
+            cols = [j for j, _ in row]
+            assert cols == sorted(set(cols)) and all(0 <= j < width for j in cols)
+            assert all(type(a) is int and a != 0 for _, a in row)
+
+    @pytest.mark.parametrize("row", [
+        ((2, 3),), ((-1, 3),), ((1, 3), (0, 1)), ((0, 1), (0, 2)), ((0, 0),),
+    ], ids=["column-equal-to-width", "negative-column", "decreasing", "repeated", "zero-value"])
+    def test_row_out_of_format_raises(self, row):
+        # a repeated column would be read as its last value, and a zero value as a pivot of 0
+        with pytest.raises(DimensionMismatch, match=r"nonzero values at increasing columns in range\(2\)"):
+            group_from_presentation((((0, 1),), row), _names(2))
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_value_raises(self, value):
+        with pytest.raises(MalformedSpec, match="relation entry must be an integer"):
+            group_from_presentation((((0, value),),), _names(2))
